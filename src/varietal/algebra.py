@@ -372,19 +372,13 @@ class Congruence:
     def spanning_pairs(self) -> list[tuple[int, int]]:
         """One chain of pairs per nontrivial block; generates the same
         congruence."""
-        first: dict[int, int] = {}
         prev: dict[int, int] = {}
         pairs: list[tuple[int, int]] = []
         for i, lab in enumerate(self.labels):
             if lab in prev:
                 pairs.append((prev[lab], i))
-            else:
-                first[lab] = i
             prev[lab] = i
         return pairs
-
-    def to_blocks(self) -> list[list[int]]:
-        return self.blocks()
 
     @staticmethod
     def identity(size: int) -> "Congruence":

@@ -26,7 +26,7 @@ from .lattice import congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import LEMMA_ORDER, build_bn, run_lemma
+from .witness import LEMMA_ORDER, build_bn, build_kprime, run_lemma
 
 SCHEMA = 1
 
@@ -174,10 +174,7 @@ def _cmd_bn_build(args) -> int:
     rows = []
     try:
         for n in range(args.n[0], args.n[1] + 1):
-            ctx = build_bn(ma, n, budget) if not args.with_k else None
-            if ctx is None:
-                from .witness import build_kprime
-                ctx = build_kprime(ma, n, budget)
+            ctx = (build_kprime if args.with_k else build_bn)(ma, n, budget)
             rows.append({"n": n, "universe": ctx.subpower.size,
                          "generators": 2 * n - 1,
                          "alphabet": [ma.names[v] for v in
@@ -280,7 +277,7 @@ def _cmd_sd_meet(args) -> int:
         return 2
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    budget = Budget(max_elements=args.max_elements, max_pairs=args.max_pairs)
+    budget = _budget(args)
     rows = []
     all_ok = True
     try:

@@ -1,14 +1,15 @@
-"""Principal congruences and chain depth through fundamental translations.
+"""Congruence generation and chain depth through fundamental translations.
 
 A fundamental translation fixes all arguments of one operation but one
-with constants.  The pairs {g(a), g(b)} over composed translations g,
-organized by how many translations were composed, form a layered graph on
-unordered element pairs: layer 0 is {a,b}, layer d+1 holds unseen images
-of layer-d pairs.  The reflexive-symmetric-transitive closure of all
-reached pairs is the principal congruence Cg(a,b); a pair (c,d) lies in
-it iff c and d are joined by a path of reached pairs, and the least M
-such that some path uses only pairs of depth <= M is the chain depth of
-(c,d) (a minimax path weight).
+with constants.  Congruences come from one block-merging closure (Freese,
+"Computing congruences efficiently", Algebra Universalis 59, 2008).
+Depth comes from the pair BFS: the pairs {g(a), g(b)} over composed
+translations g, organized by how many translations were composed, form a
+layered graph on unordered pairs (layer 0 is {a,b}, layer d+1 holds
+unseen images of layer-d pairs).  A pair (c,d) lies in Cg(a,b) iff c and
+d are joined by a path of reached pairs, and the least M such that some
+path uses only pairs of depth <= M is the chain depth of (c,d) (a
+minimax path weight).
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -20,14 +21,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import (
     Budget,
     DEFAULT_BUDGET,
     Congruence,
-    DisjointSets,
     FiniteAlgebra,
     TranslationStep,
 )
@@ -41,6 +44,11 @@ class TranslationSystem:
     universe: int
     maps: list[tuple[int, ...]]
     steps: list[TranslationStep]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The maps as one (maps x universe) array."""
+        return np.array(self.maps, dtype=np.int64).reshape(-1, self.universe)
 
 
 def _generic_translation_maps(alg: FiniteAlgebra, symbols: set[str] | None,
@@ -86,21 +94,11 @@ def translation_system(target: FiniteAlgebra | Subpower,
     return TranslationSystem(target.size, maps, steps)
 
 
-def _key(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if x <= y else (y, x)
-
-
-def _pair_bfs(maps: Sequence[tuple[int, ...]],
-              seeds: Sequence[tuple[int, int]],
-              cap: int | None,
+def _pair_bfs(maps: Sequence[tuple[int, ...]], a: int, b: int, cap: int | None,
               budget: Budget) -> dict[tuple[int, int], int]:
-    depth: dict[tuple[int, int], int] = {}
-    frontier: list[tuple[int, int]] = []
-    for a, b in seeds:
-        k = _key(a, b)
-        if k not in depth:
-            depth[k] = 0
-            frontier.append(k)
+    source = (a, b) if a <= b else (b, a)
+    depth = {source: 0}
+    frontier = [source]
     d = 0
     while frontier and (cap is None or d < cap):
         budget.check_time()
@@ -142,30 +140,44 @@ def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
                      symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     sys_ = system if system is not None else translation_system(target, symbols, budget)
-    depth = _pair_bfs(sys_.maps, [(a, b)], cap, budget)
+    depth = _pair_bfs(sys_.maps, a, b, cap, budget)
     return PairDepthGraph(source=(a, b), cap=cap, depth=depth)
 
 
-def _congruence_from_depth(size: int, depth: dict[tuple[int, int], int]) -> Congruence:
-    dsu = DisjointSets(size)
-    for x, y in depth:
-        if x != y:
-            dsu.union(x, y)
-    return Congruence(dsu.labels())
-
-
-def _universe_size(target) -> int:
-    return target.size
+def _closure(target, candidates: Iterable[tuple[int, int]],
+             system: TranslationSystem | None, budget: Budget) -> Congruence:
+    """Least congruence containing the candidate pairs, by block merging.
+    label[x] is the least member of the block of x.  A candidate either
+    merges two blocks and is queued, or is dropped: at most |A|-1 merges.
+    The images of a queued pair under every translation are the next
+    candidates.  Labels, not merge order, fix the output."""
+    size = target.size
+    label = np.arange(size)
+    work: list[tuple[int, int]] = []
+    while True:
+        for u, v in candidates:
+            lu, lv = label[u], label[v]
+            if lu != lv:
+                lu, lv = min(lu, lv), max(lu, lv)
+                label[label == lv] = lu
+                work.append((lu, lv))
+        if not work:
+            return Congruence(tuple(np.unique(label, return_inverse=True)[1].tolist()))
+        budget.check_time()
+        if system is None:
+            system = translation_system(target, None, budget)
+        x, y = work.pop()
+        p, q = label[system.table[:, x]], label[system.table[:, y]]
+        apart = p != q
+        codes = np.minimum(p, q)[apart] * size + np.maximum(p, q)[apart]
+        candidates = [divmod(c, size) for c in np.unique(codes).tolist()]
 
 
 def principal_congruence(target, a: int, b: int, *,
                          system: TranslationSystem | None = None,
                          budget: Budget = DEFAULT_BUDGET) -> Congruence:
-    """Cg(a,b): reflexive-symmetric-transitive closure of the pairs
-    reachable from (a,b) by fundamental translations."""
-    sys_ = system if system is not None else translation_system(target, None, budget)
-    depth = _pair_bfs(sys_.maps, [(a, b)], None, budget)
-    return _congruence_from_depth(_universe_size(target), depth)
+    """Cg(a,b): the least congruence relating a and b."""
+    return _closure(target, [(a, b)], system, budget)
 
 
 def congruence_from_pairs(target, pairs: Iterable[tuple[int, int]], *,
@@ -173,12 +185,7 @@ def congruence_from_pairs(target, pairs: Iterable[tuple[int, int]], *,
                           budget: Budget = DEFAULT_BUDGET) -> Congruence:
     """Least congruence containing all the pairs (the join of their
     principal congruences)."""
-    seeds = list(pairs)
-    if not seeds:
-        return Congruence.identity(_universe_size(target))
-    sys_ = system if system is not None else translation_system(target, None, budget)
-    depth = _pair_bfs(sys_.maps, seeds, None, budget)
-    return _congruence_from_depth(_universe_size(target), depth)
+    return _closure(target, pairs, system, budget)
 
 
 def _adjacency(depth: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:

@@ -144,9 +144,9 @@ def build_bn(ma: MachineAlgebra, n: int,
     ctx = BnContext(n=n, algebra=ma, subpower=sp, a=b[1], b=b, d=d, c=c,
                     zero_tuple=(0,) * n, budget=budget)
     # sanity: the derived tuples really are in the closure
-    for i in range(1, n + 1):
-        assert c[i] in sp.index, f"c_{i} missing from the closure"
-    assert ctx.zero_tuple in sp.index
+    for raw in [c[i] for i in range(1, n + 1)] + [ctx.zero_tuple]:
+        if raw not in sp.index:
+            raise ValueError(f"{ctx.render(raw)} missing from the closure")
     return ctx
 
 

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+import oracles
 from varietal import build_bn, build_kprime, compile_machine, load_tm, machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,6 +54,13 @@ def ctx2(ma2):
 @pytest.fixture(scope="session")
 def ctx3(ma2):
     return build_bn(ma2, 3)
+
+
+@pytest.fixture(scope="session")
+def b3_op_values(ctx3):
+    """Dense operation tables of B_3 from the oracle, built once because
+    the arity-5 grid is large."""
+    return oracles.subpower_op_values(ctx3.subpower)
 
 
 @pytest.fixture(scope="session")

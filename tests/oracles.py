@@ -128,14 +128,14 @@ def bucket_congruence(size: int, op_values: list[np.ndarray],
             order = np.argsort(codes, kind="stable")
             sorted_codes = codes[order]
             sorted_vals = vals[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-            ends = np.r_[starts[1:], len(sorted_codes)]
-            for s, e in zip(starts, ends):
-                rep = int(sorted_vals[s])
-                for v in sorted_vals[s + 1:e]:
-                    if union(rep, int(v)):
-                        changed = True
+            new_group = np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
+            # each value against its group's first value; only values in
+            # another block at the start of the sweep can cause a merge
+            rep = sorted_vals[np.flatnonzero(new_group)[np.cumsum(new_group) - 1]]
+            apart = np.flatnonzero(roots[rep] != roots[sorted_vals])
+            for i in apart:
+                if union(int(rep[i]), int(sorted_vals[i])):
+                    changed = True
     return canonical_labels(parent)
 
 

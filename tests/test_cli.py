@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +225,23 @@ def test_sd_meet_on_witness_subpowers(tmp_path):
     assert doc["pass"] is True
     assert [row["congruences"] for row in doc["lattices"]] == [4, 8]
     assert all(row["sd_meet"] for row in doc["lattices"])
+
+
+def test_sd_meet_budget_exhausted(capsys, monkeypatch):
+    monkeypatch.setenv("VARIETAL_BUDGET_SECONDS", "0.0001")
+    assert main(["sd-meet", "--tm", HALTING, "--n", "4"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_sd_meet_verdicts_survive_optimized_mode():
+    """python -O strips asserts; no verdict may depend on one."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    argv = ["-m", "varietal.cli", "sd-meet", "--tm", HALTING, "--n", "2..3"]
+    runs = [subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for flags in ([], ["-O"])]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_sd_meet_needs_target(capsys):

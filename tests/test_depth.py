@@ -1,9 +1,10 @@
+import time
 from itertools import product
 
 import pytest
 
 import oracles
-from varietal.algebra import Congruence
+from varietal.algebra import Budget, BudgetExceeded, Congruence
 from varietal.depth import (
     congruence_from_pairs,
     maltsev_chain,
@@ -97,14 +98,17 @@ def test_reached_pairs_lie_in_the_principal_congruence(ctx2):
     assert touched == nontrivial
 
 
-def test_principal_congruence_matches_bucket_oracle(ctx2):
-    sp = ctx2.subpower
-    theta = principal_congruence(sp, ctx2.a_id, ctx2.zero_id,
-                                 system=ctx2.system())
-    labels = oracles.bucket_congruence(
-        sp.size, oracles.subpower_op_values(sp),
-        [(ctx2.a_id, ctx2.zero_id)])
-    assert theta.labels == labels
+def test_principal_congruence_matches_bucket_oracle(ctx2, ctx3, b3_op_values):
+    sp2 = ctx2.subpower
+    tables2 = oracles.subpower_op_values(sp2)
+    cases = [(ctx2, tables2, x, y)
+             for x, y in product(range(sp2.size), repeat=2)]
+    cases += [(ctx3, b3_op_values, x, ctx3.zero_id)
+              for x in range(ctx3.subpower.size)]
+    for ctx, tables, x, y in cases:
+        theta = principal_congruence(ctx.subpower, x, y, system=ctx.system())
+        labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
+        assert theta.labels == labels, (ctx.n, x, y)
 
 
 def test_maltsev_depth_matches_minimax_oracle(ctx2):
@@ -162,6 +166,32 @@ def test_congruence_from_pairs(ctx2):
                                    system=system)
     assert single == principal_congruence(sp, ctx2.a_id, ctx2.zero_id,
                                           system=system)
+
+
+def test_congruence_from_several_pairs_matches_bucket_oracle(ctx3, b3_op_values):
+    sp = ctx3.subpower
+    b3, c3 = ctx3.id_of(ctx3.b[3]), ctx3.id_of(ctx3.c[3])
+    d2, zero = ctx3.id_of(ctx3.d[2]), ctx3.zero_id
+    # the second list repeats a pair reversed and holds a reflexive pair,
+    # so some seeds merge nothing
+    for seeds in ([(1, 2), (5, 9), (12, 3)],
+                  [(b3, c3), (d2, zero), (4, 4), (zero, d2)]):
+        got = congruence_from_pairs(sp, seeds, system=ctx3.system())
+        assert got.labels == oracles.bucket_congruence(sp.size, b3_op_values,
+                                                       seeds), seeds
+
+
+def test_closure_honours_an_expired_deadline(ctx2):
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    sp, system = ctx2.subpower, ctx2.system()
+    with pytest.raises(BudgetExceeded) as info:
+        principal_congruence(sp, ctx2.a_id, ctx2.zero_id, system=system,
+                             budget=expired)
+    assert info.value.what == "max_seconds"
+    with pytest.raises(BudgetExceeded) as info:
+        congruence_from_pairs(sp, [(0, 1), (2, 3)], system=system,
+                              budget=expired)
+    assert info.value.what == "max_seconds"
 
 
 def test_pair_depth_graph_json(ctx2):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from varietal.algebra import Congruence, is_congruence
+from varietal.depth import congruence_from_pairs
 from varietal.lattice import (
     Lattice,
     congruence_lattice,
@@ -58,11 +59,20 @@ def assert_compatible(op_values, cong):
                 assert np.array_equal(rolled[a], rolled[b])
 
 
-def test_con_b3_size(ctx3, con_b3):
+def test_con_b3_size(con_b3, b3_op_values):
     assert len(con_b3) == 8
-    tables = oracles.subpower_op_values(ctx3.subpower)
     for cong in con_b3:
-        assert_compatible(tables, cong)
+        assert_compatible(b3_op_values, cong)
+
+
+def test_lattice_joins_match_generated_congruences(ctx3, con_b3):
+    """The lattice joins by equivalence closure; generating from both
+    spanning-pair lists through the translations gives the same result."""
+    system = ctx3.system()
+    for theta, psi in product(con_b3, repeat=2):
+        seeds = theta.spanning_pairs() + psi.spanning_pairs()
+        assert theta.equiv_join(psi) == congruence_from_pairs(
+            ctx3.subpower, seeds, system=system)
 
 
 def test_congruence_lattices_are_meet_semidistributive(con_b2, con_b3):
