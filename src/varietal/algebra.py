@@ -75,7 +75,9 @@ class Operation:
 def table_op(symbol: str, arity: int, size: int, values: Sequence[int],
              absorbing: tuple[int, ...] = ()) -> Operation:
     """Operation backed by a dense row-major table."""
-    assert len(values) == size ** arity
+    if len(values) != size ** arity:
+        raise ValueError(
+            f"{symbol} needs {size ** arity} table values, got {len(values)}")
     table = list(values)
     if arity == 0:
         const = table[0]
@@ -155,10 +157,13 @@ class Power:
     algebra: FiniteAlgebra
 
     def encode(self, tup: Sequence[int]) -> int:
-        assert len(tup) == self.exponent
+        if len(tup) != self.exponent:
+            raise ValueError(
+                f"tuple {tuple(tup)} has width {len(tup)}, want {self.exponent}")
         idx = 0
         for v in tup:
-            assert 0 <= v < self.base.size
+            if not (0 <= v < self.base.size):
+                raise ValueError(f"coordinate {v} out of range")
             idx = idx * self.base.size + v
         return idx
 
@@ -333,8 +338,12 @@ class Congruence:
     def is_full(self) -> bool:
         return self.num_blocks <= 1
 
+    def _check_same_size(self, other: "Congruence"):
+        if self.size != other.size:
+            raise ValueError(f"congruences on {self.size} and {other.size} elements")
+
     def meet(self, other: "Congruence") -> "Congruence":
-        assert self.size == other.size
+        self._check_same_size(other)
         seen: dict[tuple[int, int], int] = {}
         labels = []
         for pair in zip(self.labels, other.labels):
@@ -346,7 +355,7 @@ class Congruence:
     def equiv_join(self, other: "Congruence") -> "Congruence":
         """Join in the lattice of equivalences (transitive closure of the
         union).  For two congruences this is also the congruence join."""
-        assert self.size == other.size
+        self._check_same_size(other)
         dsu = DisjointSets(self.size)
         for rel in (self, other):
             first: dict[int, int] = {}
@@ -359,7 +368,7 @@ class Congruence:
 
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""
-        assert self.size == other.size
+        self._check_same_size(other)
         rep: dict[int, int] = {}
         for i, lab in enumerate(self.labels):
             if lab in rep:
@@ -398,9 +407,9 @@ class Congruence:
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Congruence":
+        blocks = [sorted(blk) for blk in blocks]
         labels = [-1] * size
-        for blk in blocks:
-            members = sorted(blk)
+        for members in blocks:
             for m in members:
                 if not (0 <= m < size) or labels[m] != -1:
                     raise ValueError("blocks must partition 0..size-1")
@@ -408,8 +417,7 @@ class Congruence:
         if any(lab == -1 for lab in labels):
             raise ValueError("blocks must cover the universe")
         dsu = DisjointSets(size)
-        for blk in blocks:
-            members = sorted(blk)
+        for members in blocks:
             for m in members[1:]:
                 dsu.union(members[0], m)
         return Congruence(dsu.labels())
@@ -431,7 +439,9 @@ def is_congruence(alg: FiniteAlgebra, cong: Congruence,
     An equivalence is a congruence iff it is closed under every
     fundamental translation; checked pair by pair.
     """
-    assert cong.size == alg.size
+    if cong.size != alg.size:
+        raise ValueError(
+            f"congruence on {cong.size} elements, algebra has {alg.size}")
     pairs = [(a, b) for a in range(alg.size) for b in range(a + 1, alg.size)
              if cong.relates(a, b)]
     work = 0

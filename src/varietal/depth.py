@@ -112,7 +112,7 @@ def _pair_bfs(maps: Sequence[tuple[int, ...]], a: int, b: int, cap: int | None,
                 if kk not in depth:
                     depth[kk] = d + 1
                     nxt.append(kk)
-        budget.check_pairs(len(depth))
+                    budget.check_pairs(len(depth))
         frontier = nxt
         d += 1
     return depth
@@ -285,5 +285,6 @@ def maltsev_chain(target, gen: tuple[int, int], pair: tuple[int, int],
     if value is None:
         return None
     path = _lex_shortest_path(adj, c, d, value)
-    assert path is not None
+    if path is None:
+        raise RuntimeError(f"no path of weight <= {value} from {c} to {d}")
     return value, path

@@ -433,7 +433,8 @@ def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlge
 
 def _np_table(ma: MachineAlgebra, symbol: str) -> np.ndarray:
     op = ma.algebra.op(symbol)
-    assert 1 <= op.arity <= 3
+    if not 1 <= op.arity <= 3:
+        raise ValueError(f"{symbol} has arity {op.arity}; dense tables take 1 to 3")
     shape = (ma.size,) * op.arity
     raw = ma._tables.get(symbol)
     if raw is not None:

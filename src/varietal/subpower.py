@@ -11,7 +11,12 @@ everything a partial argument choice can still do, which collapses the
 |B|^arity argument space to a few hundred distinct state signatures even
 for arity-5 operations.  Image sweeps (for closure and exhaustive
 zero-image checks) and unary translation enumeration both run on state
-signatures; numpy drives the per-level transitions.
+signatures; numpy drives the per-level transitions.  Rows of states or
+values are deduped and looked up through one-dimensional int64 codes
+(mixed radix, first column most significant, so code order is row order):
+signatures are deduped with a 1-d `np.unique` on their codes, and the
+element ids of translation images come from `np.searchsorted` on the
+codes of the subpower's sorted elements.
 
 Enumeration order is canonical everywhere: operations in declared order,
 argument positions ascending, constants in lexicographic element order;
@@ -170,12 +175,41 @@ class Subpower:
         return aut
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 codes of the rows of a 2-d int array: codes
+    compare as the rows do lexicographically, so equal rows share a code.
+    Columns are folded in mixed radix, first column most significant.
+    Before a multiply could overflow, the partial codes are replaced by
+    their dense ranks, which keeps their order, so the codes are exact at
+    every width and value range."""
+    m, w = rows.shape
+    lo, hi = int(rows.min()), int(rows.max())
+    radix = hi - lo + 1
+    if m * radix > _INT64_MAX:
+        # even ranked partial codes (< m) could overflow: rank the values
+        ranks = np.unique(rows, return_inverse=True)[1]
+        rows, lo, radix = ranks.reshape(m, w), 0, int(ranks.max()) + 1
+    codes = rows[:, 0] - lo
+    span = radix
+    for c in range(1, w):
+        if span * radix > _INT64_MAX:
+            codes = np.unique(codes, return_inverse=True)[1]
+            span = int(codes.max()) + 1
+        codes = codes * radix + (rows[:, c] - lo)
+        span *= radix
+    return codes
+
+
 def _image_signatures(aut: OpAutomaton, elem_alpha: np.ndarray, width: int,
                       budget: Budget) -> np.ndarray:
     sigs = np.zeros((1, width), dtype=np.int64)
     for delta in aut.levels:
-        cand = delta[sigs[:, None, :], elem_alpha[None, :, :]]
-        sigs = np.unique(cand.reshape(-1, width), axis=0)
+        budget.check_time()
+        cand = delta[sigs[:, None, :], elem_alpha[None, :, :]].reshape(-1, width)
+        sigs = cand[np.unique(_row_codes(cand), return_index=True)[1]]
         budget.check_signatures(len(sigs))
     return sigs
 
@@ -189,8 +223,7 @@ def op_image(sp: Subpower, symbol: str,
     aut = sp._automaton(op, None)
     elem_alpha = sp._alpha_matrix(aut.alphabet)
     sigs = _image_signatures(aut, elem_alpha, sp.width, budget)
-    vals = aut.values[sigs]
-    return {tuple(int(v) for v in row) for row in vals}
+    return set(map(tuple, aut.values[sigs].tolist()))
 
 
 def close_subpower(base: FiniteAlgebra, width: int,
@@ -219,9 +252,7 @@ def close_subpower(base: FiniteAlgebra, width: int,
         new: set[tuple[int, ...]] = set()
         for op in base.ops:
             if op.arity == 0:
-                t = (op.func(),) * width
-                if t not in known:
-                    new.add(t)
+                new.add((op.func(),) * width)
                 continue
             key = (op.symbol, alphabet)
             aut = automata.get(key)
@@ -229,11 +260,8 @@ def close_subpower(base: FiniteAlgebra, width: int,
                 aut = _build_automaton(op, alphabet)
                 automata[key] = aut
             sigs = _image_signatures(aut, elem_alpha, width, budget)
-            vals = aut.values[sigs]
-            for row in vals:
-                t = tuple(int(v) for v in row)
-                if t not in known:
-                    new.add(t)
+            new.update(map(tuple, aut.values[sigs].tolist()))
+        new -= known
         if not new:
             break
         known |= new
@@ -254,43 +282,46 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     element ids in position-ascending order.
     """
     wanted = None if symbols is None else set(symbols)
-    n_elems = sp.size
+    n_elems, width = sp.size, sp.width
+    elems = np.asarray(sp.elements, dtype=np.int64).reshape(n_elems, width)
     maps: dict[tuple[int, ...], TranslationStep] = {}
     for op in sp.base.ops:
         if op.arity == 0 or (wanted is not None and op.symbol not in wanted):
             continue
         k = op.arity
         for posn in range(k):
+            budget.check_time()
             argorder = tuple([p for p in range(k) if p != posn] + [posn])
             aut = sp._automaton(op, argorder)
             elem_alpha = sp._alpha_matrix(aut.alphabet)
-            sigs = np.zeros((1, sp.width), dtype=np.int64)
+            sigs = np.zeros((1, width), dtype=np.int64)
             wits = np.zeros((1, 0), dtype=np.int64)
             for j in range(k - 1):
                 delta = aut.levels[j]
                 cand = delta[sigs[:, None, :], elem_alpha[None, :, :]]
-                cand = cand.reshape(-1, sp.width)
-                uniq, first = np.unique(cand, axis=0, return_index=True)
-                order = np.sort(first)
+                cand = cand.reshape(-1, width)
+                order = np.sort(np.unique(_row_codes(cand), return_index=True)[1])
                 sigs = cand[order]
                 wits = np.hstack([wits[order // n_elems], (order % n_elems)[:, None]])
                 budget.check_signatures(len(sigs))
             final = aut.levels[k - 1]
-            states = final[sigs[:, None, :], elem_alpha[None, :, :]]
-            vals = aut.values[states]  # (n_sigs, n_elems, width)
-            for srow in range(len(sigs)):
-                img = []
-                for e in range(n_elems):
-                    t = tuple(int(v) for v in vals[srow, e])
-                    ii = sp.index.get(t)
-                    if ii is None:
-                        raise ValueError(
-                            f"translation image {t} of {op.symbol} escapes the subuniverse"
-                        )
-                    img.append(ii)
+            vals = aut.values[final[sigs[:, None, :], elem_alpha[None, :, :]]]
+            vals = vals.reshape(-1, width)  # (n_sigs * n_elems, width)
+            # elements are sorted, so their codes are too; coding both
+            # blocks in one call makes the codes comparable
+            codes = _row_codes(np.vstack([elems, vals]))
+            elem_codes, img_codes = codes[:n_elems], codes[n_elems:]
+            ids = np.minimum(np.searchsorted(elem_codes, img_codes), n_elems - 1)
+            escaped = np.flatnonzero(elem_codes[ids] != img_codes)
+            if len(escaped):
+                t = tuple(vals[escaped[0]].tolist())
+                raise ValueError(
+                    f"translation image {t} of {op.symbol} escapes the subuniverse"
+                )
+            for srow, img in enumerate(ids.reshape(len(sigs), n_elems).tolist()):
                 key = tuple(img)
                 if key not in maps:
-                    consts = tuple(int(c) for c in wits[srow])
+                    consts = tuple(wits[srow].tolist())
                     maps[key] = TranslationStep(op.symbol, posn, consts)
                     budget.check_signatures(len(maps))
     return list(maps.keys()), list(maps.values())

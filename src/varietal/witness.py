@@ -432,7 +432,8 @@ def verify_subalgebra_omission(ctx: BnContext, k: int) -> LemmaReport:
         theta = principal_congruence(sub, a_id, zero_id, system=system,
                                      budget=ctx.budget)
         b_id = sub.index.get(ctx.b[n])
-        assert b_id is not None, "b_n is a generator, must be present"
+        if b_id is None:
+            raise RuntimeError("b_n is a generator, must be present")
         block = [e for e in theta.blocks() if b_id in e][0]
         if len(block) > 1:
             bad.append({"b_n_class": [ctx.render(sub.elements[e])

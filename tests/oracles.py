@@ -32,6 +32,8 @@ def columnwise(fn, cols, size: int) -> np.ndarray:
 
 def naive_closure(base, width: int, generators, grid_limit: int = 3_000_000):
     """Fixed-point closure by full argument-grid sweeps."""
+    if base.size ** width >= 2 ** 63:
+        raise RuntimeError("oracle row codes would overflow int64")
     known = sorted({tuple(g) for g in generators})
     known_set = set(known)
     while True:
@@ -52,8 +54,12 @@ def naive_closure(base, width: int, generators, grid_limit: int = 3_000_000):
             for c in range(width):
                 cols = [arr[g, c] for g in grids]
                 out[:, c] = columnwise(op.func, cols, base.size)
-            for row in np.unique(out, axis=0):
-                t = tuple(int(v) for v in row)
+            # rows as radix codes over the base universe: a 1-d dedupe
+            codes = out[:, 0]
+            for c in range(1, width):
+                codes = codes * base.size + out[:, c]
+            for row in out[np.unique(codes, return_index=True)[1]].tolist():
+                t = tuple(row)
                 if t not in known_set:
                     fresh.add(t)
         if not fresh:

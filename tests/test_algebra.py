@@ -148,6 +148,13 @@ def test_congruence_meet_join_refines():
     assert theta.refines(join) and not theta.refines(psi)
 
 
+def test_congruence_binary_ops_reject_mismatched_sizes():
+    small, large = Congruence.identity(3), Congruence.full(4)
+    for binary in (Congruence.meet, Congruence.equiv_join, Congruence.refines):
+        with pytest.raises(ValueError):
+            binary(small, large)
+
+
 def test_congruence_spanning_pairs_regenerate():
     cong = Congruence((0, 1, 0, 1, 0, 2))
     pairs = cong.spanning_pairs()
@@ -164,6 +171,13 @@ def test_congruence_blocks_and_json():
         Congruence.from_blocks(4, [[0, 1], [2]])
     with pytest.raises(ValueError):
         Congruence.from_blocks(4, [[0, 1], [1, 2, 3]])
+
+
+def test_congruence_from_blocks_takes_a_generator():
+    listed = Congruence.from_blocks(4, [[0, 1], [2, 3]])
+    generated = Congruence.from_blocks(4, (b for b in [[0, 1], [2, 3]]))
+    assert generated == listed
+    assert generated.labels == (0, 0, 1, 1)
 
 
 def test_is_congruence():

@@ -194,6 +194,14 @@ def test_closure_honours_an_expired_deadline(ctx2):
     assert info.value.what == "max_seconds"
 
 
+def test_pair_bfs_checks_max_pairs_inside_a_layer(ctx3):
+    with pytest.raises(BudgetExceeded) as info:
+        pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
+                         system=ctx3.system(), budget=Budget(max_pairs=5))
+    assert info.value.what == "max_pairs"
+    assert "6 > 5" in str(info.value)
+
+
 def test_pair_depth_graph_json(ctx2):
     graph = pair_depth_graph(ctx2.subpower, ctx2.a_id, ctx2.zero_id,
                              cap=3, system=ctx2.system())

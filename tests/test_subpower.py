@@ -1,12 +1,18 @@
+import time
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from varietal.algebra import Budget, BudgetExceeded, Operation
 from varietal.subpower import (
     Subpower,
     _build_automaton,
+    _row_codes,
     close_subpower,
     op_image,
     translation_maps,
@@ -24,6 +30,39 @@ def test_closure_matches_naive_oracle(ma2, n):
     sp = close_subpower(ma2.algebra, n, generators_for(ma2, n))
     expected = oracles.naive_closure(ma2.algebra, n, generators_for(ma2, n))
     assert list(sp.elements) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_k_closure_matches_naive_oracle(ma2_k, n):
+    gens = generators_for(ma2_k, n)
+    sp = close_subpower(ma2_k.algebra, n, gens)
+    assert list(sp.elements) == oracles.naive_closure(ma2_k.algebra, n, gens)
+
+
+@st.composite
+def int64_rows(draw):
+    """Row matrices whose values span from a few to all int64 values, so
+    radix ** width runs past 2**63 and both re-ranking steps run."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 8)))
+    bound = draw(st.sampled_from([1, 2, 6, 255, 2 ** 20, 2 ** 40, 2 ** 62]))
+    low = draw(st.sampled_from([0, -bound, -2 ** 63]))
+    values = st.integers(low, bound if low > -2 ** 63 else 2 ** 63 - 1)
+    return draw(hnp.arrays(np.int64, shape, elements=values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_rows())
+@example(np.array([[3, -1, 7]], dtype=np.int64))
+@example(np.array([[2], [0], [2], [-5]], dtype=np.int64))
+@example(np.array([[2 ** 40, 5], [0, 2 ** 40], [2 ** 40, 1]], dtype=np.int64))
+@example(np.array([[2 ** 62, 0, 0], [0, 2 ** 62, 1], [0, 2 ** 62, 0]],
+                  dtype=np.int64))
+def test_row_codes_sort_and_dedupe_like_rows(rows):
+    codes = _row_codes(rows)
+    assert codes.dtype == np.int64 and codes.shape == (len(rows),)
+    got = np.unique(codes, return_index=True)[1]
+    want = np.unique(rows, axis=0, return_index=True)[1]
+    assert got.tolist() == want.tolist()
 
 
 def test_closure_is_sorted_and_deduped(ctx2):
@@ -72,6 +111,21 @@ def test_translation_maps_match_oracle_low_arity(ctx3):
     low = [op.symbol for op in sp.base.ops if 1 <= op.arity <= 3]
     maps, _ = translation_maps(sp, symbols=low)
     assert set(maps) == oracles.subpower_translation_maps(sp, symbols=low)
+
+
+def test_translation_maps_honour_an_expired_deadline(ctx2):
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExceeded) as info:
+        translation_maps(ctx2.subpower, budget=expired)
+    assert info.value.what == "max_seconds"
+
+
+def test_translation_image_escaping_a_non_closed_set_is_named(ma2):
+    dd, bd = ma2.idx("D"), ma2.idx("bD")
+    sp = Subpower(base=ma2.algebra, width=2,
+                  elements=((0, 0), (dd, dd), (dd, bd)))
+    with pytest.raises(ValueError, match=rf"image \({dd}, 0\) of meet escapes"):
+        translation_maps(sp)
 
 
 def test_translation_witnesses_reproduce_maps(ctx2):
