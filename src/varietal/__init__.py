@@ -4,8 +4,7 @@ properties (atomic principal congruences, translation depth, lattice
 meet-semidistributivity)."""
 
 from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
-    FiniteAlgebra, Operation, Power, TranslationStep, generate_subuniverse, \
-    is_congruence, power, table_op
+    FiniteAlgebra, Operation, TranslationStep, is_congruence, table_op
 from .depth import PairDepthGraph, TranslationSystem, congruence_from_pairs, \
     maltsev_chain, maltsev_depth, pair_depth_graph, principal_congruence, \
     translation_system

@@ -4,14 +4,14 @@ A FiniteAlgebra is an indexed universe 0..size-1 with a tuple of named
 finitary operations.  Operations evaluate on element indices; small ones
 may be backed by dense row-major tables.  Congruences are partitions in
 canonical block-id form (blocks numbered by least member).  Everything
-here is deterministic: closure discovers elements in operation order then
-argument lexicographic order, and outputs are sorted.
+here is deterministic.  The subuniverse generated by a set of elements is
+`subpower.close_subpower` at width 1.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -59,8 +59,8 @@ class Operation:
 
     func takes `arity` positional int arguments and returns an int.
     `absorbing` lists argument positions at which a 0 argument forces the
-    value 0 (used to prune translation enumeration; may be empty even for
-    operations that do absorb).
+    value 0 (a declared property that the tests check; may be empty even
+    for operations that do absorb).
     """
 
     symbol: str
@@ -140,127 +140,6 @@ class TranslationStep:
     op: str
     position: int
     constants: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# powers
-
-@dataclass(frozen=True, eq=False)
-class Power:
-    """Direct power with a mixed-radix codec (first coordinate most
-    significant, so numeric order of indices = lexicographic order of
-    tuples).  Operations evaluate lazily through the codec; nothing of
-    size base.size**exponent is materialized."""
-
-    base: FiniteAlgebra
-    exponent: int
-    algebra: FiniteAlgebra
-
-    def encode(self, tup: Sequence[int]) -> int:
-        if len(tup) != self.exponent:
-            raise ValueError(
-                f"tuple {tuple(tup)} has width {len(tup)}, want {self.exponent}")
-        idx = 0
-        for v in tup:
-            if not (0 <= v < self.base.size):
-                raise ValueError(f"coordinate {v} out of range")
-            idx = idx * self.base.size + v
-        return idx
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.exponent):
-            idx, v = divmod(idx, self.base.size)
-            out.append(v)
-        out.reverse()
-        return tuple(out)
-
-
-def power(alg: FiniteAlgebra, n: int) -> Power:
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    size = alg.size ** n
-
-    def lift(op: Operation) -> Operation:
-        base_size = alg.size
-
-        def decode(idx):
-            out = []
-            for _ in range(n):
-                idx, v = divmod(idx, base_size)
-                out.append(v)
-            out.reverse()
-            return out
-
-        if op.arity == 0:
-            c = op.func()
-            const = 0
-            for _ in range(n):
-                const = const * base_size + c
-            return Operation(op.symbol, 0, lambda: const, op.absorbing)
-
-        def func(*args):
-            cols = [decode(a) for a in args]
-            idx = 0
-            for i in range(n):
-                idx = idx * base_size + op.func(*(col[i] for col in cols))
-            return idx
-
-        return Operation(op.symbol, op.arity, func, op.absorbing)
-
-    zero = None
-    if alg.zero is not None:
-        zero = 0
-        for _ in range(n):
-            zero = zero * alg.size + alg.zero
-    lifted = FiniteAlgebra(size=size, ops=tuple(lift(op) for op in alg.ops), zero=zero)
-    return Power(base=alg, exponent=n, algebra=lifted)
-
-
-# ---------------------------------------------------------------------------
-# subuniverse closure
-
-def generate_subuniverse(alg: FiniteAlgebra, generators: Iterable[int],
-                         budget: Budget = DEFAULT_BUDGET) -> list[int]:
-    """Least subuniverse containing the generators, as a sorted list.
-
-    Worklist closure; each round applies every operation to argument
-    tuples that touch at least one element discovered in the previous
-    round, in operation order then argument lexicographic order.
-    """
-    member: set[int] = set()
-    found: list[int] = []
-    for g in sorted(set(generators)):
-        if not (0 <= g < alg.size):
-            raise ValueError(f"generator {g} out of range")
-        member.add(g)
-        found.append(g)
-    if not found:
-        raise ValueError("need at least one generator")
-
-    fresh = list(found)
-    while fresh:
-        budget.check_time()
-        fresh_set = set(fresh)
-        new: list[int] = []
-        known = sorted(member)
-        for op in alg.ops:
-            if op.arity == 0:
-                v = op.func()
-                if v not in member:
-                    member.add(v)
-                    new.append(v)
-                continue
-            for args in product(known, repeat=op.arity):
-                if not fresh_set.intersection(args):
-                    continue
-                v = op.func(*args)
-                if v not in member:
-                    member.add(v)
-                    new.append(v)
-                    budget.check_elements(len(member))
-        fresh = new
-    return sorted(member)
 
 
 # ---------------------------------------------------------------------------

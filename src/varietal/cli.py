@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``bn verify``,
-``verify``, ``depth``, ``sd-meet``.  All structured output is JSON with
+Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``verify``,
+``depth``, ``sd-meet``.  All structured output is JSON with
 ``"schema": 1``, sorted keys, two-space indent, and a trailing newline;
 identical configuration (including --seed) produces byte-identical
 documents.  Timing fields are zeroed unless --timings is given.
@@ -19,14 +19,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Budget, BudgetExceeded
 from .lattice import congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import LEMMA_ORDER, build_bn, build_kprime, run_lemma
+from .witness import LEMMA_ORDER, _skip, build_bn, build_kprime, run_lemma
 
 SCHEMA = 1
 
@@ -81,7 +80,6 @@ def _add_common(p, *, n_flag=True):
     p.add_argument("--max-elements", type=int, default=1_000_000)
     p.add_argument("--max-pairs", type=int, default=5_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="emit real wall-clock seconds in stats")
     p.add_argument("--out", help="write the JSON document here")
@@ -110,9 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bn_build = bn_sub.add_parser("build", help="close the witness generators")
     _add_common(bn_build)
     bn_build.add_argument("--with-k", action="store_true")
-    bn_verify = bn_sub.add_parser("verify", help="run one lemma verifier")
-    _add_common(bn_verify)
-    bn_verify.add_argument("--lemma", required=True, choices=LEMMA_ORDER)
 
     verify_p = sub.add_parser("verify", help="run the lemma suite")
     _add_common(verify_p)
@@ -188,9 +183,8 @@ def _cmd_bn_build(args) -> int:
     return 0
 
 
-def _run_width(ma, n: int, lemmas, budget_args, seed: int):
+def _run_width(ma, n: int, lemmas, budget: Budget, seed: int):
     """All requested lemmas at one width, sharing one context."""
-    budget = _budget(budget_args)
     reports = []
     ctx = None
     for lemma in lemmas:
@@ -203,7 +197,6 @@ def _run_width(ma, n: int, lemmas, budget_args, seed: int):
             try:
                 ctx = build_bn(ma, n, budget)
             except BudgetExceeded as exc:
-                from .witness import _skip
                 reports.extend(
                     _skip(lm, n, exc, time.monotonic())
                     for lm in lemmas if lm != "k-collapse")
@@ -216,16 +209,9 @@ def _run_width(ma, n: int, lemmas, budget_args, seed: int):
 def _cmd_verify(args) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    lemmas = [args.lemma] if getattr(args, "lemma", None) else list(LEMMA_ORDER)
-    widths = list(range(args.n[0], args.n[1] + 1))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(
-                lambda n: _run_width(ma, n, lemmas, args, args.seed), widths))
-    else:
-        batches = [_run_width(ma, n, lemmas, args, args.seed) for n in widths]
-    reports = [r for batch in batches for r in batch]
-    reports.sort(key=lambda r: (r.n, LEMMA_ORDER.index(r.lemma)))
+    lemmas = [args.lemma] if args.lemma else list(LEMMA_ORDER)
+    reports = [r for n in range(args.n[0], args.n[1] + 1)
+               for r in _run_width(ma, n, lemmas, _budget(args), args.seed)]
     doc = {"schema": SCHEMA, "command": "verify", "tm": args.tm,
            "n_range": [args.n[0], args.n[1]], "seed": args.seed,
            "pass": all(r.status != "FAILED" for r in reports),
@@ -233,11 +219,6 @@ def _cmd_verify(args) -> int:
            "reports": [r.to_json(timings=args.timings) for r in reports]}
     _emit(doc, args.out)
     return _exit_code(reports)
-
-
-def _cmd_bn_verify(args) -> int:
-    args.jobs = getattr(args, "jobs", 1)
-    return _cmd_verify(args)
 
 
 def _cmd_depth(args) -> int:
@@ -249,7 +230,6 @@ def _cmd_depth(args) -> int:
         try:
             ctx = build_bn(ma, n, budget)
         except BudgetExceeded as exc:
-            from .witness import _skip
             reports.append(_skip("depth", n, exc, time.monotonic()))
             continue
         reports.append(run_lemma("depth", ma, n, budget=budget, ctx=ctx))
@@ -313,9 +293,7 @@ def main(argv=None) -> int:
         if args.command == "algebra":
             return _cmd_algebra_build(args)
         if args.command == "bn":
-            if args.bn_command == "build":
-                return _cmd_bn_build(args)
-            return _cmd_bn_verify(args)
+            return _cmd_bn_build(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "depth":

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,46 +50,15 @@ class TranslationSystem:
         return np.array(self.maps, dtype=np.int64).reshape(-1, self.universe)
 
 
-def _generic_translation_maps(alg: FiniteAlgebra, symbols: set[str] | None,
-                              budget: Budget
-                              ) -> tuple[list[tuple[int, ...]], list[TranslationStep]]:
-    size = alg.size
-    universe = range(size)
-    maps: dict[tuple[int, ...], TranslationStep] = {}
-    work = 0
-    for op in alg.ops:
-        if op.arity == 0 or (symbols is not None and op.symbol not in symbols):
-            continue
-        k = op.arity
-        for pos in range(k):
-            others = [p for p in range(k) if p != pos]
-            dead = [i for i, p in enumerate(others) if p in op.absorbing]
-            for consts in product(universe, repeat=k - 1):
-                work += 1
-                if work % 2048 == 0:
-                    budget.check_time()
-                    budget.check_signatures(work)
-                if alg.zero is not None and any(consts[i] == alg.zero for i in dead):
-                    continue  # image is constantly zero; cannot move any pair
-                args = list(consts[:pos]) + [0] + list(consts[pos:])
-                row = []
-                for x in universe:
-                    args[pos] = x
-                    row.append(op.func(*args))
-                key = tuple(row)
-                if key not in maps:
-                    maps[key] = TranslationStep(op.symbol, pos, consts)
-    return list(maps.keys()), list(maps.values())
-
-
 def translation_system(target: FiniteAlgebra | Subpower,
                        symbols: Iterable[str] | None = None,
                        budget: Budget = DEFAULT_BUDGET) -> TranslationSystem:
-    wanted = None if symbols is None else set(symbols)
-    if isinstance(target, Subpower):
-        maps, steps = translation_maps(target, wanted, budget)
-        return TranslationSystem(target.size, maps, steps)
-    maps, steps = _generic_translation_maps(target, wanted, budget)
+    """The deduped translation maps of `target` with canonical witnesses.
+    A plain FiniteAlgebra is enumerated as the width-1 subpower of itself,
+    whose element ids are the algebra's own element indices."""
+    if not isinstance(target, Subpower):
+        target = Subpower(target, 1, tuple((x,) for x in range(target.size)))
+    maps, steps = translation_maps(target, symbols, budget)
     return TranslationSystem(target.size, maps, steps)
 
 

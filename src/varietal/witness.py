@@ -35,8 +35,8 @@ import numpy as np
 from .algebra import Budget, BudgetExceeded, DEFAULT_BUDGET, TranslationStep
 from .depth import TranslationSystem, maltsev_depth, pair_depth_graph, \
     principal_congruence, translation_system
-from .machine_algebra import MachineAlgebra
-from .subpower import Subpower, close_subpower, op_image
+from .machine_algebra import MachineAlgebra, vector_evaluator
+from .subpower import Subpower, close_subpower, op_image, translation_maps
 
 NONZERO_OPS = ("meet", "J", "J'", "S2")
 
@@ -209,7 +209,8 @@ def verify_nonzero_ops(ctx: BnContext, *, seed: int = 0,
     """Every operation outside {meet, J, J', S2} maps the subpower to the
     all-zero tuple.  Exhaustive for every arity via the coordinate
     automaton image; arities 4-5 additionally get seeded random argument
-    samples evaluated coordinatewise.
+    samples, evaluated one coordinate at a time by the numpy case rules
+    of `vector_evaluator`, an evaluator independent of the automata.
     """
     t0 = time.monotonic()
     sp = ctx.subpower
@@ -231,19 +232,16 @@ def verify_nonzero_ops(ctx: BnContext, *, seed: int = 0,
                 counterexamples.append({"op": op.symbol,
                                         "value": ctx.render(nonzero[0])})
             if op.arity >= 4:
-                ids = rng.integers(0, sp.size, size=(samples, op.arity))
-                cols = [elem_arr[ids[:, j]] for j in range(op.arity)]
-                fn = sp.base.op(op.symbol).func
-                for coord in range(ctx.n):
-                    args = [c[:, coord] for c in cols]
-                    vals = _columnwise(fn, args, sp.base.size)
-                    hit = np.nonzero(vals)[0]
+                evaluate = vector_evaluator(ctx.algebra, op.symbol)
+                # drawn as (samples, arity) so the seeded stream is fixed
+                ids = rng.integers(0, sp.size, size=(samples, op.arity)).T
+                for coord, column in enumerate(elem_arr.T):
+                    hit = np.flatnonzero(evaluate(*column[ids]))
                     if hit.size:
-                        row = int(hit[0])
                         counterexamples.append(
                             {"op": op.symbol, "coordinate": coord + 1,
-                             "args": [ctx.render(tuple(c[row]))
-                                      for c in cols]})
+                             "args": [ctx.render_id(i)
+                                      for i in ids[:, hit[0]].tolist()]})
                         break
     except BudgetExceeded as exc:
         return _skip("nonzero-ops", ctx.n, exc, t0, sp.size)
@@ -251,24 +249,6 @@ def verify_nonzero_ops(ctx: BnContext, *, seed: int = 0,
     return LemmaReport("nonzero-ops", ctx.n, passed, witnesses,
                        counterexamples,
                        _stats(ctx, 0, t0))
-
-
-def _columnwise(fn, cols: list[np.ndarray], size: int) -> np.ndarray:
-    # encode argument rows as radix-size codes so the dedupe is 1-d
-    codes = cols[0].astype(np.int64)
-    for c in cols[1:]:
-        codes = codes * size + c
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    k = len(cols)
-    vals = np.empty(len(uniq), dtype=np.int64)
-    for i, code in enumerate(uniq):
-        args = []
-        rest = int(code)
-        for _ in range(k):
-            args.append(rest % size)
-            rest //= size
-        vals[i] = fn(*reversed(args))
-    return vals[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +458,8 @@ def verify_support_growth(ctx: BnContext) -> LemmaReport:
     t0 = time.monotonic()
     sp = ctx.subpower
     try:
-        maps, steps = _restricted_maps(ctx)
+        maps, steps = translation_maps(sp, symbols=NONZERO_OPS,
+                                       budget=ctx.budget)
     except BudgetExceeded as exc:
         return _skip("support-growth", ctx.n, exc, t0, sp.size)
     arr = np.asarray(sp.elements, dtype=np.int64)
@@ -510,12 +491,6 @@ def verify_support_growth(ctx: BnContext) -> LemmaReport:
     report.witnesses = [{"hypothesis_pairs": len(hyp_pairs),
                          "translations": len(maps)}]
     return report
-
-
-def _restricted_maps(ctx: BnContext):
-    from .subpower import translation_maps
-    return translation_maps(ctx.subpower, symbols=NONZERO_OPS,
-                            budget=ctx.budget)
 
 
 # ---------------------------------------------------------------------------

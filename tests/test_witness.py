@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from varietal import witness
 from varietal.algebra import TranslationStep
 from varietal.depth import principal_congruence
 from varietal.witness import (
@@ -161,6 +163,25 @@ def test_nonzero_ops_witnesses(ctx3):
     report = verify_nonzero_ops(ctx3, samples=10_000)
     assert report.passed
     assert {w["op"] for w in report.witnesses} == {"meet", "J", "J'", "S2"}
+
+
+def test_nonzero_ops_reports_a_sampled_counterexample(ctx2, monkeypatch):
+    real = witness.vector_evaluator
+
+    def evaluator(ma, symbol):
+        if symbol == "S0":
+            return lambda *args: np.ones_like(args[0])
+        return real(ma, symbol)
+
+    monkeypatch.setattr(witness, "vector_evaluator", evaluator)
+    report = verify_nonzero_ops(ctx2, seed=3, samples=10)
+    # S0 is the first operation of arity >= 4, so it takes the first draw
+    row = np.random.default_rng(3).integers(0, ctx2.subpower.size,
+                                            size=(10, 4))[0]
+    assert not report.passed
+    assert report.counterexamples == [
+        {"op": "S0", "coordinate": 1,
+         "args": [ctx2.render_id(int(i)) for i in row]}]
 
 
 def test_s2_acts_at_later_coordinates_only(ctx2):
