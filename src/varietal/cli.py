@@ -3,8 +3,8 @@
 Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``verify``,
 ``depth``, ``sd-meet``.  All structured output is JSON with
 ``"schema": 1``, sorted keys, two-space indent, and a trailing newline;
-identical configuration (including --seed) produces byte-identical
-documents.  Timing fields are zeroed unless --timings is given.
+identical arguments give byte-identical documents; verify only echoes
+--seed, as no check samples.  Timings are zeroed without --timings.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error, 3 all passed but some were skipped on budget.  The
@@ -79,7 +79,8 @@ def _add_common(p, *, n_flag=True):
                        help="width or inclusive range, e.g. 3 or 2..4")
     p.add_argument("--max-elements", type=int, default=1_000_000)
     p.add_argument("--max-pairs", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in the verify document; changes no verdict")
     p.add_argument("--timings", action="store_true",
                    help="emit real wall-clock seconds in stats")
     p.add_argument("--out", help="write the JSON document here")
@@ -183,7 +184,7 @@ def _cmd_bn_build(args) -> int:
     return 0
 
 
-def _run_width(ma, n: int, lemmas, budget: Budget, seed: int):
+def _run_width(ma, n: int, lemmas, budget: Budget):
     """All requested lemmas at one width, sharing one context."""
     reports = []
     ctx = None
@@ -191,7 +192,7 @@ def _run_width(ma, n: int, lemmas, budget: Budget, seed: int):
         if lemma == "k-collapse":
             if n < 3:
                 continue
-            reports.append(run_lemma(lemma, ma, n, budget=budget, seed=seed))
+            reports.append(run_lemma(lemma, ma, n, budget=budget))
             continue
         if ctx is None:
             try:
@@ -201,8 +202,7 @@ def _run_width(ma, n: int, lemmas, budget: Budget, seed: int):
                     _skip(lm, n, exc, time.monotonic())
                     for lm in lemmas if lm != "k-collapse")
                 break
-        reports.append(run_lemma(lemma, ma, n, budget=budget, seed=seed,
-                                 ctx=ctx))
+        reports.append(run_lemma(lemma, ma, n, budget=budget, ctx=ctx))
     return reports
 
 
@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
     ma = compile_machine(tm)
     lemmas = [args.lemma] if args.lemma else list(LEMMA_ORDER)
     reports = [r for n in range(args.n[0], args.n[1] + 1)
-               for r in _run_width(ma, n, lemmas, _budget(args), args.seed)]
+               for r in _run_width(ma, n, lemmas, _budget(args))]
     doc = {"schema": SCHEMA, "command": "verify", "tm": args.tm,
            "n_range": [args.n[0], args.n[1]], "seed": args.seed,
            "pass": all(r.status != "FAILED" for r in reports),

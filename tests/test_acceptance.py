@@ -207,10 +207,10 @@ def test_criterion_04_structure(ctx2, ctx3, ctx4, ctx5):
     report_line(4, "B_n structure", t0, cap=30.0)
 
 
-def test_criterion_05_nonzero_operations(ctx2, ctx3, ctx4):
+def test_criterion_05_nonzero_operations(ctx2, ctx3, ctx4, ctx5):
     t0 = time.monotonic()
-    for ctx in (ctx2, ctx3, ctx4):
-        report = verify_nonzero_ops(ctx, seed=0, samples=1_000_000)
+    for ctx in (ctx2, ctx3, ctx4, ctx5):
+        report = verify_nonzero_ops(ctx)
         assert report.status == "PASSED", (ctx.n, report.counterexamples)
         assert {w["op"] for w in report.witnesses} == {"meet", "J", "J'", "S2"}
     report_line(5, "nonzero operations", t0)

@@ -175,6 +175,34 @@ def test_verify_budget_skip(tmp_path, monkeypatch):
     assert "budget" in doc["reports"][0]["note"]
 
 
+def test_verify_seed_changes_nothing_but_its_echo(tmp_path):
+    docs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        assert main(["verify", "--tm", HALTING, "--n", "2..3",
+                     "--seed", seed, "--out", str(out)]) == 0
+        docs.append(read_doc(out))
+    assert [doc.pop("seed") for doc in docs] == [1, 2]
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2..3"],
+    ["depth", "--n", "2..5"],
+    ["bn", "build", "--n", "2..5"],
+    ["bn", "build", "--with-k", "--n", "2..5"],
+    ["sd-meet", "--n", "2..4"],
+], ids=" ".join)
+def test_tiny_time_budget_exits_3_without_a_traceback(argv):
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+           "VARIETAL_BUDGET_SECONDS": "0.0001"}
+    run = subprocess.run([sys.executable, "-m", "varietal.cli", *argv,
+                          "--tm", HALTING], env=env, capture_output=True,
+                         timeout=120)
+    assert run.returncode == 3
+    assert b"Traceback" not in run.stderr
+
+
 def test_verify_timings_flag(tmp_path):
     out = tmp_path / "timed.json"
     assert main(["verify", "--tm", HALTING, "--lemma", "structure",

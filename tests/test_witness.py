@@ -1,11 +1,16 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
 from varietal import witness
-from varietal.algebra import TranslationStep
+from varietal.algebra import Budget, TranslationStep
 from varietal.depth import principal_congruence
+from varietal.subpower import op_image
 from varietal.witness import (
     LEMMA_ORDER,
+    NONZERO_OPS,
     LemmaReport,
     bn_maltsev_depth,
     build_bn,
@@ -159,29 +164,63 @@ def test_single_chain_step_grows_support_by_one(ctx2):
     assert supp(ctx2.zero_tuple) == 0 and supp(ctx2.c[2]) == 1
 
 
-def test_nonzero_ops_witnesses(ctx3):
-    report = verify_nonzero_ops(ctx3, samples=10_000)
+def test_nonzero_ops_witnesses(ctx3, b3_op_values):
+    report = verify_nonzero_ops(ctx3)
     assert report.passed
-    assert {w["op"] for w in report.witnesses} == {"meet", "J", "J'", "S2"}
+    assert {w["op"] for w in report.witnesses} == set(NONZERO_OPS)
+    # brute force over every argument tuple of B_3, without automata
+    ops = [op for op in ctx3.subpower.base.ops if op.arity > 0]
+    assert len(ops) == len(b3_op_values)
+    nonzero = {op.symbol for op, values in zip(ops, b3_op_values)
+               if (values != ctx3.zero_id).any()}
+    assert nonzero == set(NONZERO_OPS)
 
 
-def test_nonzero_ops_reports_a_sampled_counterexample(ctx2, monkeypatch):
+def _fake_evaluator(monkeypatch, symbol, rule):
     real = witness.vector_evaluator
+    monkeypatch.setattr(witness, "vector_evaluator",
+                        lambda ma, sym: rule if sym == symbol else real(ma, sym))
 
-    def evaluator(ma, symbol):
-        if symbol == "S0":
-            return lambda *args: np.ones_like(args[0])
-        return real(ma, symbol)
 
-    monkeypatch.setattr(witness, "vector_evaluator", evaluator)
-    report = verify_nonzero_ops(ctx2, seed=3, samples=10)
-    # S0 is the first operation of arity >= 4, so it takes the first draw
-    row = np.random.default_rng(3).integers(0, ctx2.subpower.size,
-                                            size=(10, 4))[0]
-    assert not report.passed
+def test_nonzero_ops_reports_a_grid_counterexample(ctx3, monkeypatch):
+    dd, bd = ctx3.algebra.idx("D"), ctx3.algebra.idx("bD")
+    _fake_evaluator(monkeypatch, "T",
+                    lambda w, x, y, z: ((w == dd) & (z == bd)).astype(np.int64))
+    report = verify_nonzero_ops(ctx3)
+    # coordinate 1 of B_3 never holds bD; each argument is the first
+    # element carrying its grid value at coordinate 2
+    first = {v: next(x for x in ctx3.subpower.elements if x[1] == v)
+             for v in (0, dd, bd)}
+    assert report.status == "FAILED"
     assert report.counterexamples == [
-        {"op": "S0", "coordinate": 1,
-         "args": [ctx2.render_id(int(i)) for i in row]}]
+        {"op": "T", "coordinate": 2,
+         "args": [ctx3.render(first[v]) for v in (dd, 0, 0, bd)]}]
+
+
+def test_nonzero_ops_ignores_letters_outside_the_columns(ctx2, monkeypatch):
+    present = {v for x in ctx2.subpower.elements for v in x}
+    absent = next(v for v in range(ctx2.algebra.size) if v not in present)
+    _fake_evaluator(monkeypatch, "T",
+                    lambda *args: sum(a == absent for a in args))
+    assert verify_nonzero_ops(ctx2).status == "PASSED"
+
+
+def test_nonzero_ops_charges_each_value_grid(ma2):
+    # B_2 and every op_image fit in 80 elements; the 3^4 grid does not
+    budget = Budget(max_elements=80)
+    ctx = build_bn(ma2, 2, budget)
+    for op in ctx.subpower.base.ops:
+        op_image(ctx.subpower, op.symbol, budget)
+    report = verify_nonzero_ops(ctx)
+    assert report.status == "SKIPPED"
+    assert "max_elements" in report.note and "81 > 80" in report.note
+
+
+def test_nonzero_ops_honours_an_expired_deadline(ctx2):
+    ctx = dataclasses.replace(ctx2, budget=Budget(deadline=time.monotonic() - 1))
+    report = verify_nonzero_ops(ctx)
+    assert report.status == "SKIPPED"
+    assert "max_seconds" in report.note
 
 
 def test_s2_acts_at_later_coordinates_only(ctx2):
