@@ -58,22 +58,18 @@ class Operation:
     """A named finitary operation on element indices.
 
     func takes `arity` positional int arguments and returns an int.
-    `absorbing` lists argument positions at which a 0 argument forces the
-    value 0 (a declared property that the tests check; may be empty even
-    for operations that do absorb).
     """
 
     symbol: str
     arity: int
     func: Callable[..., int]
-    absorbing: tuple[int, ...] = ()
 
     def __call__(self, *args: int) -> int:
         return self.func(*args)
 
 
-def table_op(symbol: str, arity: int, size: int, values: Sequence[int],
-             absorbing: tuple[int, ...] = ()) -> Operation:
+def table_op(symbol: str, arity: int, size: int,
+             values: Sequence[int]) -> Operation:
     """Operation backed by a dense row-major table."""
     if len(values) != size ** arity:
         raise ValueError(
@@ -81,15 +77,14 @@ def table_op(symbol: str, arity: int, size: int, values: Sequence[int],
     table = list(values)
     if arity == 0:
         const = table[0]
-        return Operation(symbol, 0, lambda: const, absorbing)
+        return Operation(symbol, 0, lambda: const)
     if arity == 1:
-        return Operation(symbol, 1, lambda x: table[x], absorbing)
+        return Operation(symbol, 1, lambda x: table[x])
     if arity == 2:
-        return Operation(symbol, 2, lambda x, y: table[x * size + y], absorbing)
+        return Operation(symbol, 2, lambda x, y: table[x * size + y])
     if arity == 3:
-        return Operation(
-            symbol, 3, lambda x, y, z: table[(x * size + y) * size + z], absorbing
-        )
+        return Operation(symbol, 3,
+                         lambda x, y, z: table[(x * size + y) * size + z])
 
     def func(*args):
         idx = 0
@@ -97,7 +92,7 @@ def table_op(symbol: str, arity: int, size: int, values: Sequence[int],
             idx = idx * size + a
         return table[idx]
 
-    return Operation(symbol, arity, func, absorbing)
+    return Operation(symbol, arity, func)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,16 +37,12 @@ from .subpower import Subpower, translation_maps
 
 @dataclass(eq=False)
 class TranslationSystem:
-    """Deduped unary translation maps with canonical witnesses."""
+    """Deduped unary translation maps with canonical witnesses: row i of
+    the C-contiguous intp (maps x universe) table is the map that steps[i]
+    witnesses, so label[table[:, x]] gathers the images of x at once."""
 
-    universe: int
-    maps: list[tuple[int, ...]]
+    table: np.ndarray
     steps: list[TranslationStep]
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The maps as one (maps x universe) array."""
-        return np.array(self.maps, dtype=np.int64).reshape(-1, self.universe)
 
 
 def translation_system(target: FiniteAlgebra | Subpower,
@@ -58,31 +53,43 @@ def translation_system(target: FiniteAlgebra | Subpower,
     whose element ids are the algebra's own element indices."""
     if not isinstance(target, Subpower):
         target = Subpower(target, 1, tuple((x,) for x in range(target.size)))
-    maps, steps = translation_maps(target, symbols, budget)
-    return TranslationSystem(target.size, maps, steps)
+    return TranslationSystem(*translation_maps(target, symbols, budget))
 
 
-def _pair_bfs(maps: Sequence[tuple[int, ...]], a: int, b: int, cap: int | None,
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    codes = np.sort(codes, axis=None)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
               budget: Budget) -> dict[tuple[int, int], int]:
+    """A layer at a time: its pairs' images under every map, gathered from
+    table columns (max_pairs per chunk) as codes min * N + max."""
+    size = table.shape[1]
     source = (a, b) if a <= b else (b, a)
     depth = {source: 0}
-    frontier = [source]
+    seen = frontier = np.array([source[0] * size + source[1]])
+    step = max(1, budget.max_pairs // max(1, len(table)))
     d = 0
-    while frontier and (cap is None or d < cap):
+    while len(frontier) and (cap is None or d < cap):
         budget.check_time()
-        nxt: list[tuple[int, int]] = []
-        for x, y in frontier:
-            if x == y:
-                continue
-            for mp in maps:
-                p, q = mp[x], mp[y]
-                kk = (p, q) if p <= q else (q, p)
-                if kk not in depth:
-                    depth[kk] = d + 1
-                    nxt.append(kk)
-                    budget.check_pairs(len(depth))
-        frontier = nxt
+        xs, ys = np.divmod(frontier, size)
+        xs, ys = xs[xs != ys], ys[xs != ys]
+        found = [seen[:0]]
+        for lo in range(0, len(xs), step):
+            p, q = table[:, xs[lo:lo + step]], table[:, ys[lo:lo + step]]
+            codes = np.minimum(p, q)
+            codes *= size
+            codes += np.maximum(p, q, out=p)
+            found.append(_distinct(codes))
+        new = _distinct(np.concatenate(found))
+        new = new[~np.isin(new, seen)]
+        # name the first count past the cap, as a pair-at-a-time check would
+        budget.check_pairs(min(len(depth) + len(new), budget.max_pairs + 1))
         d += 1
+        px, py = np.divmod(new, size)
+        depth.update(dict.fromkeys(zip(px.tolist(), py.tolist()), d))
+        seen, frontier = np.union1d(seen, new), new
     return depth
 
 
@@ -108,8 +115,7 @@ def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
                      symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     sys_ = system if system is not None else translation_system(target, symbols, budget)
-    depth = _pair_bfs(sys_.maps, a, b, cap, budget)
-    return PairDepthGraph(source=(a, b), cap=cap, depth=depth)
+    return PairDepthGraph((a, b), cap, _pair_bfs(sys_.table, a, b, cap, budget))
 
 
 def _closure(target, candidates: Iterable[tuple[int, int]],

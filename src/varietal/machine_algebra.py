@@ -340,15 +340,15 @@ class MachineAlgebra:
 
         ops: list[Operation] = [
             Operation("zero", 0, lambda: zero),
-            Operation("meet", 2, meet, absorbing=(0, 1)),
-            Operation("mul", 2, mul, absorbing=(0, 1)),
-            Operation("J", 3, j_sel, absorbing=(0, 1)),
-            Operation("J'", 3, jp_sel, absorbing=(0, 1)),
-            Operation("S0", 4, s0, absorbing=(0, 1)),
-            Operation("S1", 4, s1, absorbing=(0, 1)),
-            Operation("S2", 5, s2, absorbing=(0, 1, 2)),
-            Operation("T", 4, t_pair, absorbing=(0, 1, 2, 3)),
-            Operation("I", 1, seed, absorbing=(0,)),
+            Operation("meet", 2, meet),
+            Operation("mul", 2, mul),
+            Operation("J", 3, j_sel),
+            Operation("J'", 3, jp_sel),
+            Operation("S0", 4, s0),
+            Operation("S1", 4, s1),
+            Operation("S2", 5, s2),
+            Operation("T", 4, t_pair),
+            Operation("I", 1, seed),
         ]
 
         move_ops: list[Operation] = []
@@ -358,22 +358,20 @@ class MachineAlgebra:
             for t in (0, 1):
                 sym = f"L[{ins.state},{ins.read},{t}]"
                 fn = make_move("L", ins.state, ins.read, ins.write, ins.next_state, t)
-                move_ops.append(Operation(sym, 3, fn, absorbing=(0, 1, 2)))
+                move_ops.append(Operation(sym, 3, fn))
         for ins in self.machine.sorted_instructions():
             if ins.direction != "R":
                 continue
             for t in (0, 1):
                 sym = f"R[{ins.state},{ins.read},{t}]"
                 fn = make_move("R", ins.state, ins.read, ins.write, ins.next_state, t)
-                move_ops.append(Operation(sym, 3, fn, absorbing=(0, 1, 2)))
+                move_ops.append(Operation(sym, 3, fn))
         ops.extend(move_ops)
         for mv in move_ops:
-            ops.append(Operation(f"U1_{mv.symbol}", 4, make_u1(mv.func),
-                                 absorbing=(0, 1, 2, 3)))
-            ops.append(Operation(f"U0_{mv.symbol}", 4, make_u0(mv.func),
-                                 absorbing=(0, 1, 2, 3)))
+            ops.append(Operation(f"U1_{mv.symbol}", 4, make_u1(mv.func)))
+            ops.append(Operation(f"U0_{mv.symbol}", 4, make_u0(mv.func)))
         if self.with_k:
-            ops.append(Operation("K", 3, collapse, absorbing=(0, 1)))
+            ops.append(Operation("K", 3, collapse))
 
         return tuple(self._freeze(op) for op in ops)
 
@@ -421,7 +419,7 @@ class MachineAlgebra:
                         put((x, y, z))
         frozen = bytes(data)
         self._tables[op.symbol] = frozen
-        return table_op(op.symbol, op.arity, size, frozen, op.absorbing)
+        return table_op(op.symbol, op.arity, size, frozen)
 
 
 def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlgebra:

@@ -1,22 +1,21 @@
 """Subalgebras of finite powers: closure, images, translation maps.
 
-Elements are width-n tuples over a base algebra and every operation acts
-coordinatewise, so bulk work factors through the base operation restricted
-to the small set of values that actually occur in coordinates (the
-coordinate alphabet).  For each operation we build a layered automaton
-whose level-j states are suffix classes of the restricted operation: two
-argument prefixes that reach the same state yield the same value under
-every completion.  A tuple of per-coordinate states therefore determines
-everything a partial argument choice can still do, which collapses the
-|B|^arity argument space to a few hundred distinct state signatures even
-for arity-5 operations.  Image sweeps (for closure and exhaustive
-zero-image checks) and unary translation enumeration both run on state
-signatures; numpy drives the per-level transitions.  Rows of states or
-values are deduped and looked up through one-dimensional int64 codes
-(mixed radix, first column most significant, so code order is row order):
-signatures are deduped with a 1-d `np.unique` on their codes, and the
-element ids of translation images come from `np.searchsorted` on the
-codes of the subpower's sorted elements.
+Operations act coordinatewise, so bulk work runs on the base operation
+restricted to the values occurring in coordinates (the alphabet).  Each
+operation gets a layered automaton whose level-j states are suffix classes:
+prefixes reaching one state agree under every completion.  So a tuple of
+per-coordinate states (a signature) is all a partial argument choice can
+still do, a few hundred signatures even for arity-5 operations.  A level
+step takes each (signature s, element e) cell to delta[s[c], e[c]] per
+coordinate c.  No cells x width block is built: a cell's int64 code folds
+one coordinate at a time in radix (first most significant, so code order
+is row order); where a multiply could overflow, partial codes are replaced
+by their ranks among all cells, found in one more pass.  Only the first
+cell of each distinct code is expanded back into a row.  Cells are coded in
+blocks of signature rows of at most Budget.max_signatures cells, one row
+being charged before any block is built, with one deadline check a block.
+A translation image is coded by the alphabet positions of its values, so
+np.searchsorted on the sorted elements' codes gives its element id.
 
 Enumeration order is canonical everywhere: operations in declared order,
 argument positions ascending, constants in lexicographic element order;
@@ -27,7 +26,8 @@ witnesses are lexicographically least.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, starmap
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ _MAX_WORDS = 2_000_000
 
 @dataclass(frozen=True)
 class OpAutomaton:
-    arity: int
     alphabet: tuple[int, ...]
     levels: tuple[np.ndarray, ...]   # levels[j]: (states_j, |alphabet|) -> states_{j+1}
     values: np.ndarray               # final state id -> base element
@@ -56,49 +55,25 @@ class OpAutomaton:
 
 def _build_automaton(op: Operation, alphabet: tuple[int, ...],
                      argorder: tuple[int, ...] | None = None) -> OpAutomaton:
-    k = op.arity
-    m = len(alphabet)
+    k, m = op.arity, len(alphabet)
     if k == 0:
         raise ValueError("nullary operations have no automaton")
     if m ** k > _MAX_WORDS:
         raise BudgetExceeded("max_signatures", f"alphabet^{k} = {m ** k} words")
     order = argorder if argorder is not None else tuple(range(k))
-    func = op.func
-    args = [0] * k
-    evals: list[int] = []
-    for word in product(alphabet, repeat=k):
-        for i, pos in enumerate(order):
-            args[pos] = word[i]
-        evals.append(func(*args))
-
-    ids: dict[int, int] = {}
-    arr: list[int] = []
-    for v in evals:
-        cid = ids.get(v)
-        if cid is None:
-            cid = len(ids)
-            ids[v] = cid
-        arr.append(cid)
-    values = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
-
-    levels_rev: list[np.ndarray] = []
-    for j in range(k - 1, -1, -1):
-        rows: dict[tuple[int, ...], int] = {}
-        delta: list[tuple[int, ...]] = []
-        new_arr: list[int] = []
-        for r in range(m ** j):
-            sig = tuple(arr[r * m:(r + 1) * m])
-            cid = rows.get(sig)
-            if cid is None:
-                cid = len(rows)
-                rows[sig] = cid
-                delta.append(sig)
-            new_arr.append(cid)
-        levels_rev.append(np.asarray(delta, dtype=np.int64))
-        arr = new_arr
-    levels_rev.reverse()
-    return OpAutomaton(arity=k, alphabet=alphabet,
-                       levels=tuple(levels_rev), values=values)
+    words = product(alphabet, repeat=k)
+    if k > 1:   # argument p reads letter order.index(p) of a word
+        words = map(itemgetter(*[order.index(p) for p in range(k)]), words)
+    ids: dict = {}
+    arr = [ids.setdefault(v, len(ids)) for v in starmap(op.func, words)]
+    values = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    levels: list[np.ndarray] = []
+    for j in range(k - 1, -1, -1):   # level j: suffix classes of length-j prefixes
+        ids = {}
+        arr = [ids.setdefault(tuple(arr[r * m:(r + 1) * m]), len(ids))
+               for r in range(m ** j)]
+        levels.insert(0, np.array(list(ids), dtype=np.int64).reshape(len(ids), m))
+    return OpAutomaton(alphabet=alphabet, levels=tuple(levels), values=values)
 
 
 @dataclass(eq=False)
@@ -135,7 +110,7 @@ class Subpower:
             if t not in index:
                 raise ValueError(f"{op.symbol} constant escapes the subuniverse")
             const = index[t]
-            return Operation(op.symbol, 0, lambda: const, op.absorbing)
+            return Operation(op.symbol, 0, lambda: const)
 
         def func(*ids):
             tups = [elements[a] for a in ids]
@@ -145,7 +120,7 @@ class Subpower:
                 raise ValueError(f"{op.symbol} image {out} escapes the subuniverse")
             return v
 
-        return Operation(op.symbol, op.arity, func, op.absorbing)
+        return Operation(op.symbol, op.arity, func)
 
     @property
     def size(self) -> int:
@@ -162,56 +137,82 @@ class Subpower:
             raise ValueError(f"{symbol} takes {op.arity} arguments")
         return tuple(op.func(*(a[i] for a in args)) for i in range(self.width))
 
-    def _alpha_matrix(self, alphabet: tuple[int, ...]) -> np.ndarray:
-        pos = {v: i for i, v in enumerate(alphabet)}
-        return np.asarray([[pos[v] for v in t] for t in self.elements], dtype=np.int64)
-
     def _automaton(self, op: Operation, argorder: tuple[int, ...] | None) -> OpAutomaton:
         key = (op.symbol, argorder)
-        aut = self._automata.get(key)
-        if aut is None:
-            aut = _build_automaton(op, self.coordinate_alphabet(), argorder)
-            self._automata[key] = aut
-        return aut
+        if key not in self._automata:
+            self._automata[key] = _build_automaton(op, self.coordinate_alphabet(),
+                                                   argorder)
+        return self._automata[key]
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """Order-preserving int64 codes of the rows of a 2-d int array: codes
-    compare as the rows do lexicographically, so equal rows share a code.
-    Columns are folded in mixed radix, first column most significant.
-    Before a multiply could overflow, the partial codes are replaced by
-    their dense ranks, which keeps their order, so the codes are exact at
-    every width and value range."""
-    m, w = rows.shape
-    lo, hi = int(rows.min()), int(rows.max())
-    radix = hi - lo + 1
-    if m * radix > _INT64_MAX:
-        # even ranked partial codes (< m) could overflow: rank the values
-        ranks = np.unique(rows, return_inverse=True)[1]
-        rows, lo, radix = ranks.reshape(m, w), 0, int(ranks.max()) + 1
-    codes = rows[:, 0] - lo
+def _row_codes(blocks, width: int, radix: int, budget: Budget):
+    """(first row, codes) per block of blocks(), which yields (first row,
+    column) with column(c) holding coordinate c of its rows, in [0, radix);
+    the fold and its re-ranking are described in the module docstring."""
+    ranks: dict[int, np.ndarray] = {}
+
+    def fold(column, upto: int) -> np.ndarray:
+        codes = column(0).astype(np.int64)
+        for c in range(1, upto):
+            if c in ranks:
+                codes = np.searchsorted(ranks[c], codes)
+            codes *= radix
+            codes += column(c)
+        return codes
+
     span = radix
-    for c in range(1, w):
+    for c in range(1, width):
         if span * radix > _INT64_MAX:
-            codes = np.unique(codes, return_inverse=True)[1]
-            span = int(codes.max()) + 1
-        codes = codes * radix + (rows[:, c] - lo)
+            table = np.zeros(0, dtype=np.int64)
+            for _, column in blocks():
+                table = np.union1d(table, fold(column, c))
+                budget.check_signatures(len(table))
+            ranks[c], span = table, len(table) + 1
         span *= radix
-    return codes
+    for lo, column in blocks():
+        yield lo, fold(column, width)
 
 
-def _image_signatures(aut: OpAutomaton, elem_alpha: np.ndarray, width: int,
-                      budget: Budget) -> np.ndarray:
-    sigs = np.zeros((1, width), dtype=np.int64)
-    for delta in aut.levels:
+def _blocks(table: np.ndarray, sigs: np.ndarray, cols: np.ndarray,
+            budget: Budget):
+    """(first signature, column) per block of signature rows, where
+    column(c)[s, e] = table[sigs[s, c], cols[c, e]] for elements e."""
+    budget.check_signatures(cols.shape[1])
+    step = budget.max_signatures // cols.shape[1]
+    for lo in range(0, len(sigs), step):
         budget.check_time()
-        cand = delta[sigs[:, None, :], elem_alpha[None, :, :]].reshape(-1, width)
-        sigs = cand[np.unique(_row_codes(cand), return_index=True)[1]]
-        budget.check_signatures(len(sigs))
-    return sigs
+        rows = np.ascontiguousarray(sigs[lo:lo + step].T)
+        yield lo, lambda c, rows=rows: table[rows[c]][:, cols[c]]
+
+
+def _signatures(levels, elem_alpha: np.ndarray,
+                budget: Budget) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct state signatures after `levels`, in first-reached order
+    over (signature, element) cells, with the element ids reaching each."""
+    n_elems, width = elem_alpha.shape
+    cols = np.ascontiguousarray(elem_alpha.T)
+    sigs, wits = np.zeros((1, width), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    for delta in levels:
+        radix = int(delta.max()) + 1
+        # a level into state 0 alone has one signature, first reached at cell 0
+        codes = first = np.zeros(int(radix == 1), dtype=np.int64)
+        for lo, block in (_row_codes(lambda: _blocks(delta, sigs, cols, budget),
+                                     width, radix, budget) if radix > 1 else ()):
+            # merged with the codes so far: a code's least flat index is its first
+            cand = np.concatenate([codes, block.ravel()])
+            at = np.concatenate([first, np.arange(lo * n_elems, lo * n_elems + block.size)])
+            order = np.argsort(cand)
+            cand = cand[order]
+            head = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
+            codes, first = cand[head], np.minimum.reduceat(at[order], head)
+            budget.check_signatures(len(codes))
+        s, e = np.divmod(np.sort(first), n_elems)
+        sigs = delta[sigs[s], elem_alpha[e]]
+        wits = np.concatenate([wits[s], e[:, None]], axis=1)
+    return sigs, wits
 
 
 def op_image(sp: Subpower, symbol: str,
@@ -221,8 +222,8 @@ def op_image(sp: Subpower, symbol: str,
     if op.arity == 0:
         return {(op.func(),) * sp.width}
     aut = sp._automaton(op, None)
-    elem_alpha = sp._alpha_matrix(aut.alphabet)
-    sigs = _image_signatures(aut, elem_alpha, sp.width, budget)
+    sigs, _ = _signatures(aut.levels, np.searchsorted(aut.alphabet, np.asarray(sp.elements)),
+                          budget)
     return set(map(tuple, aut.values[sigs].tolist()))
 
 
@@ -246,21 +247,17 @@ def close_subpower(base: FiniteAlgebra, width: int,
     while True:
         budget.check_time()
         alphabet = tuple(sorted({v for t in known for v in t}))
-        pos = {v: i for i, v in enumerate(alphabet)}
-        ordered = sorted(known)
-        elem_alpha = np.asarray([[pos[v] for v in t] for t in ordered], dtype=np.int64)
+        elem_alpha = np.searchsorted(alphabet, np.asarray(sorted(known)))
         new: set[tuple[int, ...]] = set()
         for op in base.ops:
             if op.arity == 0:
                 new.add((op.func(),) * width)
                 continue
             key = (op.symbol, alphabet)
-            aut = automata.get(key)
-            if aut is None:
-                aut = _build_automaton(op, alphabet)
-                automata[key] = aut
-            sigs = _image_signatures(aut, elem_alpha, width, budget)
-            new.update(map(tuple, aut.values[sigs].tolist()))
+            if key not in automata:
+                automata[key] = _build_automaton(op, alphabet)
+            sigs, _ = _signatures(automata[key].levels, elem_alpha, budget)
+            new.update(map(tuple, automata[key].values[sigs].tolist()))
         new -= known
         if not new:
             break
@@ -269,11 +266,29 @@ def close_subpower(base: FiniteAlgebra, width: int,
     return Subpower(base=base, width=width, elements=tuple(sorted(known)))
 
 
+def _append_fresh(table: np.ndarray, buckets: dict, rows: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Append the distinct rows of `rows` that `table` lacks to it, in place
+    and in first-occurrence order; return their positions in `rows`.  buckets
+    maps a fingerprint row @ weights to the table rows having it."""
+    first = np.sort(np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                              return_index=True)[1])
+    cand, count, fresh = rows[first], len(table), []
+    for i, key in enumerate((cand @ weights).tolist()):
+        bucket, row = buckets.setdefault(key, []), cand[i].tobytes()
+        if not any(j < count and table[j].tobytes() == row for j in bucket):
+            bucket.append(count + len(fresh))
+            fresh.append(i)
+    table.resize((count + len(fresh), rows.shape[1]), refcheck=False)
+    table[count:] = cand[fresh]
+    return first[fresh]
+
+
 def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET
-                     ) -> tuple[list[tuple[int, ...]], list[TranslationStep]]:
-    """All distinct unary translation maps on the subpower, with canonical
-    witnesses.
+                     ) -> tuple[np.ndarray, list[TranslationStep]]:
+    """All distinct unary translation maps on the subpower, as the rows of
+    one C-contiguous intp (maps x universe) table, with canonical witnesses.
 
     A translation fixes every argument of one operation except one with
     constants drawn from the subpower.  Maps are deduped; the witness kept
@@ -283,45 +298,40 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     """
     wanted = None if symbols is None else set(symbols)
     n_elems, width = sp.size, sp.width
-    elems = np.asarray(sp.elements, dtype=np.int64).reshape(n_elems, width)
-    maps: dict[tuple[int, ...], TranslationStep] = {}
+    alphabet = np.asarray(sp.coordinate_alphabet(), dtype=np.int64)
+    elem_alpha, m = np.searchsorted(alphabet, np.asarray(sp.elements)), len(alphabet)
+    cols = np.ascontiguousarray(elem_alpha.T)
+    table, buckets, steps = np.zeros((0, n_elems), dtype=np.intp), {}, []
+    # fixed, well-mixed weights: a multiply-xorshift hash of the column
+    h = np.arange(1, n_elems + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    weights = ((h ^ (h >> np.uint64(29))) * np.uint64(0xBF58476D1CE4E5B9)).view(np.int64)
     for op in sp.base.ops:
         if op.arity == 0 or (wanted is not None and op.symbol not in wanted):
             continue
         k = op.arity
         for posn in range(k):
-            budget.check_time()
             argorder = tuple([p for p in range(k) if p != posn] + [posn])
             aut = sp._automaton(op, argorder)
-            elem_alpha = sp._alpha_matrix(aut.alphabet)
-            sigs = np.zeros((1, width), dtype=np.int64)
-            wits = np.zeros((1, 0), dtype=np.int64)
-            for j in range(k - 1):
-                delta = aut.levels[j]
-                cand = delta[sigs[:, None, :], elem_alpha[None, :, :]]
-                cand = cand.reshape(-1, width)
-                order = np.sort(np.unique(_row_codes(cand), return_index=True)[1])
-                sigs = cand[order]
-                wits = np.hstack([wits[order // n_elems], (order % n_elems)[:, None]])
-                budget.check_signatures(len(sigs))
-            final = aut.levels[k - 1]
-            vals = aut.values[final[sigs[:, None, :], elem_alpha[None, :, :]]]
-            vals = vals.reshape(-1, width)  # (n_sigs * n_elems, width)
-            # elements are sorted, so their codes are too; coding both
-            # blocks in one call makes the codes comparable
-            codes = _row_codes(np.vstack([elems, vals]))
-            elem_codes, img_codes = codes[:n_elems], codes[n_elems:]
-            ids = np.minimum(np.searchsorted(elem_codes, img_codes), n_elems - 1)
-            escaped = np.flatnonzero(elem_codes[ids] != img_codes)
-            if len(escaped):
-                t = tuple(vals[escaped[0]].tolist())
-                raise ValueError(
-                    f"translation image {t} of {op.symbol} escapes the subuniverse"
-                )
-            for srow, img in enumerate(ids.reshape(len(sigs), n_elems).tolist()):
-                key = tuple(img)
-                if key not in maps:
-                    consts = tuple(wits[srow].tolist())
-                    maps[key] = TranslationStep(op.symbol, posn, consts)
-                    budget.check_signatures(len(maps))
-    return list(maps.keys()), list(maps.values())
+            sigs, wits = _signatures(aut.levels[:-1], elem_alpha, budget)
+            final = aut.levels[-1]
+            # image values by alphabet position, m for one outside it; the
+            # elements are coded first, so they share the ranks
+            pos = np.searchsorted(alphabet, aut.values)
+            pos[alphabet[np.minimum(pos, m - 1)] != aut.values] = m
+            coded = _row_codes(lambda: chain([(0, cols.__getitem__)],
+                                             _blocks(pos[final], sigs, cols, budget)),
+                               width, m + 1, budget)
+            elem_codes = next(coded)[1]
+            for lo, img in coded:
+                ids = np.minimum(np.searchsorted(elem_codes, img), n_elems - 1)
+                escaped = np.flatnonzero(elem_codes[ids] != img)
+                if len(escaped):
+                    s, e = divmod(int(escaped[0]), n_elems)
+                    t = tuple(aut.values[final[sigs[lo + s], elem_alpha[e]]].tolist())
+                    raise ValueError(f"translation image {t} of {op.symbol} "
+                                     "escapes the subuniverse")
+                fresh = _append_fresh(table, buckets, ids, weights)
+                steps += [TranslationStep(op.symbol, posn, tuple(w))
+                          for w in wits[lo + fresh].tolist()]
+                budget.check_signatures(len(table))
+    return table, steps

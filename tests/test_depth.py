@@ -1,6 +1,7 @@
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 import oracles
@@ -63,15 +64,16 @@ def minimax_closure(depth, size):
     return w
 
 
-def test_pair_bfs_matches_layered_rederivation(ctx2):
-    sp = ctx2.subpower
-    system = ctx2.system()
-    graph = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, cap=None,
-                             system=system)
-    expected = layered_bfs(system.maps, ctx2.a_id, ctx2.zero_id, None)
-    assert graph.depth == expected
-    assert graph.depth[(min(ctx2.a_id, ctx2.zero_id),
-                        max(ctx2.a_id, ctx2.zero_id))] == 0
+def test_pair_bfs_matches_layered_rederivation(ctx2, ctx3, ctx4):
+    for ctx, cap in product((ctx2, ctx3, ctx4), (None, 1, 2)):
+        system = ctx.system()
+        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=cap,
+                                 system=system)
+        expected = layered_bfs(system.table.tolist(), ctx.a_id, ctx.zero_id,
+                               cap)
+        assert graph.depth == expected, (ctx.n, cap)
+        assert graph.depth[(min(ctx.a_id, ctx.zero_id),
+                            max(ctx.a_id, ctx.zero_id))] == 0
 
 
 def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2):
@@ -142,14 +144,14 @@ def test_maltsev_chain_witness(ctx2):
 
 def test_generic_and_subpower_translations_agree(ctx2):
     sp = ctx2.subpower
-    assert set(translation_system(sp.algebra).maps) == \
-        set(translation_system(sp).maps)
+    assert set(map(tuple, translation_system(sp.algebra).table.tolist())) == \
+        set(map(tuple, translation_system(sp).table.tolist()))
 
 
 def test_translation_system_is_deterministic(ctx2):
     first = translation_system(ctx2.subpower)
     second = translation_system(ctx2.subpower)
-    assert first.maps == second.maps
+    assert np.array_equal(first.table, second.table)
     assert first.steps == second.steps
 
 

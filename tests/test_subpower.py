@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from varietal.algebra import Budget, BudgetExceeded, Operation
+from varietal.algebra import Budget, BudgetExceeded, Operation, TranslationStep
+from varietal import subpower
 from varietal.subpower import (
     Subpower,
     _build_automaton,
@@ -40,25 +41,32 @@ def test_k_closure_matches_naive_oracle(ma2_k, n):
 
 
 @st.composite
-def int64_rows(draw):
-    """Row matrices whose values span from a few to all int64 values, so
-    radix ** width runs past 2**63 and both re-ranking steps run."""
+def coded_rows(draw):
+    """Row matrices over [0, radix) with radix from 1 to 2**56, so radix **
+    width runs past 2**63 and the re-ranking runs, plus a block split."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 8)))
-    bound = draw(st.sampled_from([1, 2, 6, 255, 2 ** 20, 2 ** 40, 2 ** 62]))
-    low = draw(st.sampled_from([0, -bound, -2 ** 63]))
-    values = st.integers(low, bound if low > -2 ** 63 else 2 ** 63 - 1)
-    return draw(hnp.arrays(np.int64, shape, elements=values))
+    radix = draw(st.sampled_from([1, 2, 6, 255, 2 ** 20, 2 ** 40, 2 ** 56]))
+    rows = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, radix - 1)))
+    return rows, radix, draw(st.integers(1, shape[0]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(int64_rows())
-@example(np.array([[3, -1, 7]], dtype=np.int64))
-@example(np.array([[2], [0], [2], [-5]], dtype=np.int64))
-@example(np.array([[2 ** 40, 5], [0, 2 ** 40], [2 ** 40, 1]], dtype=np.int64))
-@example(np.array([[2 ** 62, 0, 0], [0, 2 ** 62, 1], [0, 2 ** 62, 0]],
-                  dtype=np.int64))
-def test_row_codes_sort_and_dedupe_like_rows(rows):
-    codes = _row_codes(rows)
+@given(coded_rows())
+@example((np.array([[2, 0, 7]], dtype=np.int64), 8, 1))
+@example((np.array([[2], [0], [2], [5]], dtype=np.int64), 6, 3))
+@example((np.array([[2 ** 40, 5], [0, 2 ** 40], [2 ** 40, 1]], dtype=np.int64),
+          2 ** 40 + 1, 2))
+@example((np.array([[2 ** 56, 0, 0], [0, 2 ** 56, 1], [0, 2 ** 56, 0]],
+                   dtype=np.int64), 2 ** 56 + 1, 1))
+def test_row_codes_sort_and_dedupe_like_rows(case):
+    rows, radix, step = case
+
+    def blocks():
+        for lo in range(0, len(rows), step):
+            yield lo, lambda c, lo=lo: rows[lo:lo + step, c]
+
+    coded = _row_codes(blocks, rows.shape[1], radix, Budget())
+    codes = np.concatenate([block for _, block in coded])
     assert codes.dtype == np.int64 and codes.shape == (len(rows),)
     got = np.unique(codes, return_index=True)[1]
     want = np.unique(rows, axis=0, return_index=True)[1]
@@ -99,18 +107,85 @@ def test_op_image_matches_bruteforce(ctx2):
         assert op_image(sp, op.symbol) == expected, op.symbol
 
 
+def map_rows(table):
+    return [tuple(row) for row in table.tolist()]
+
+
 def test_translation_maps_match_oracle_full(ctx2):
     sp = ctx2.subpower
-    maps, steps = translation_maps(sp)
-    assert len(maps) == len(steps) == len(set(maps))
-    assert set(maps) == oracles.subpower_translation_maps(sp)
+    table, steps = translation_maps(sp)
+    assert table.dtype == np.intp and table.flags.c_contiguous
+    assert table.shape == (len(steps), sp.size)
+    assert len(set(map_rows(table))) == len(steps)
+    assert set(map_rows(table)) == oracles.subpower_translation_maps(sp)
 
 
 def test_translation_maps_match_oracle_low_arity(ctx3):
     sp = ctx3.subpower
     low = [op.symbol for op in sp.base.ops if 1 <= op.arity <= 3]
-    maps, _ = translation_maps(sp, symbols=low)
-    assert set(maps) == oracles.subpower_translation_maps(sp, symbols=low)
+    table, _ = translation_maps(sp, symbols=low)
+    assert set(map_rows(table)) == \
+        oracles.subpower_translation_maps(sp, symbols=low)
+
+
+class BlockBudget(Budget):
+    """Budget whose count checks never fire, so max_signatures only sets
+    the block size of the automaton sweeps."""
+
+    def check_signatures(self, count):
+        pass
+
+
+def with_generators(*ctxs):
+    for ctx in ctxs:
+        gens = [ctx.b[i] for i in range(1, ctx.n + 1)] + \
+            [ctx.d[i] for i in range(2, ctx.n + 1)]
+        yield ctx.subpower, gens
+
+
+def test_automaton_sweeps_charge_one_row_before_building(ctx3, kctx3):
+    for sp, gens in with_generators(ctx3, kctx3):
+        with pytest.raises(BudgetExceeded) as info:
+            translation_maps(sp, budget=Budget(max_signatures=sp.size - 1))
+        assert info.value.what == "max_signatures"
+        assert f"{sp.size} > {sp.size - 1}" in str(info.value)
+        # the first closure round sweeps the generators themselves
+        with pytest.raises(BudgetExceeded) as info:
+            close_subpower(sp.base, sp.width, gens,
+                           Budget(max_signatures=len(gens) - 1))
+        assert info.value.what == "max_signatures"
+        assert f"{len(gens)} > {len(gens) - 1}" in str(info.value)
+
+
+def test_row_blocks_do_not_change_results(ctx3, ctx4, kctx3):
+    for sp, gens in with_generators(ctx3, ctx4, kctx3):
+        table, steps = translation_maps(sp)
+        for rows in (1, 3):
+            # closure rounds sweep smaller sets, so their blocks hold more rows
+            budget = BlockBudget(max_signatures=rows * sp.size)
+            got_table, got_steps = translation_maps(sp, budget=budget)
+            assert np.array_equal(got_table, table) and got_steps == steps
+            closed = close_subpower(sp.base, sp.width, gens, budget)
+            assert closed.elements == sp.elements
+
+
+def test_reranked_codes_do_not_change_results(monkeypatch, ma2, ctx3, kctx3):
+    cases = list(with_generators(ctx3, kctx3))
+    expected = [(translation_maps(sp),
+                 close_subpower(sp.base, sp.width, gens).elements,
+                 op_image(sp, "S2")) for sp, gens in cases]
+    # every column past the first now re-ranks its partial codes
+    monkeypatch.setattr(subpower, "_INT64_MAX", 1)
+    for (sp, gens), ((table, steps), elements, image) in zip(cases, expected):
+        got_table, got_steps = translation_maps(sp)
+        assert np.array_equal(got_table, table) and got_steps == steps
+        assert close_subpower(sp.base, sp.width, gens).elements == elements
+        assert op_image(sp, "S2") == image
+    dd, bd = ma2.idx("D"), ma2.idx("bD")
+    open_set = Subpower(base=ma2.algebra, width=2,
+                        elements=((0, 0), (dd, dd), (dd, bd)))
+    with pytest.raises(ValueError, match=rf"image \({dd}, 0\) of meet escapes"):
+        translation_maps(open_set)
 
 
 def test_translation_maps_honour_an_expired_deadline(ctx2):
@@ -128,10 +203,27 @@ def test_translation_image_escaping_a_non_closed_set_is_named(ma2):
         translation_maps(sp)
 
 
+def test_translation_witnesses_are_the_first_in_canonical_order(ctx2):
+    # every translation in (operation, position, constants lexicographic)
+    # order, by the induced algebra: the first witness of each map wins,
+    # and maps are listed in the order their first witnesses come
+    sp = ctx2.subpower
+    first = {}
+    for op in sp.base.ops:
+        for pos in range(op.arity):
+            for consts in product(range(sp.size), repeat=op.arity - 1):
+                image = tuple(sp.algebra.eval(op.symbol, consts[:pos] + (x,) + consts[pos:])
+                              for x in range(sp.size))
+                first.setdefault(image, TranslationStep(op.symbol, pos, consts))
+    table, steps = translation_maps(sp)
+    assert map_rows(table) == list(first)
+    assert steps == list(first.values())
+
+
 def test_translation_witnesses_reproduce_maps(ctx2):
     sp = ctx2.subpower
-    maps, steps = translation_maps(sp)
-    for mp, step in zip(maps, steps):
+    table, steps = translation_maps(sp)
+    for mp, step in zip(table.tolist(), steps):
         consts = step.constants
         assert len(consts) == sp.base.op(step.op).arity - 1
         for x in range(sp.size):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from varietal import witness
 from varietal.algebra import Budget, TranslationStep
 from varietal.depth import principal_congruence
@@ -85,8 +86,28 @@ def test_build_bn_rejects_width_one(ma2):
 
 
 def test_translation_map_counts(ctx2, ctx3):
-    assert len(ctx2.system().maps) == 25
-    assert len(ctx3.system().maps) == 103
+    assert len(ctx2.system().table) == 25
+    assert len(ctx3.system().table) == 103
+
+
+def test_nonzero_translations_are_the_whole_system(ctx2, ctx3, b3_op_values):
+    # support-growth reads the whole system: the other operations act as
+    # the constant 0 on B_n, and meet already gives the constant-0 map
+    def rows(table):
+        return set(map(tuple, table.tolist()))
+
+    assert rows(ctx2.system().table) == oracles.subpower_translation_maps(
+        ctx2.subpower, symbols=NONZERO_OPS)
+    # at B_3 the same enumeration, read off the oracle's dense tables, since
+    # subpower_translation_maps takes about 25 s there for the arity-5 S2
+    ops = [op for op in ctx3.subpower.base.ops if op.arity]
+    want = set()
+    for op, values in zip(ops, b3_op_values):
+        if op.symbol in NONZERO_OPS:
+            for pos in range(op.arity):
+                want |= rows(np.moveaxis(values, pos, -1)
+                             .reshape(-1, ctx3.subpower.size))
+    assert rows(ctx3.system().table) == want
 
 
 @pytest.mark.parametrize("lemma", [l for l in LEMMA_ORDER if l != "k-collapse"])
