@@ -83,8 +83,9 @@ def table_op(symbol: str, arity: int, size: int,
     if arity == 2:
         return Operation(symbol, 2, lambda x, y: table[x * size + y])
     if arity == 3:
-        return Operation(symbol, 3,
-                         lambda x, y, z: table[(x * size + y) * size + z])
+        return Operation(
+            symbol, 3, lambda x, y, z: table[(x * size + y) * size + z]
+        )
 
     def func(*args):
         idx = 0

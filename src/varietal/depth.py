@@ -64,12 +64,13 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
               budget: Budget) -> dict[tuple[int, int], int]:
     """A layer at a time: its pairs' images under every map, gathered from
-    table columns (max_pairs per chunk) as codes min * N + max."""
+    table columns as codes min * N + max, in chunks of at most
+    max_signatures cells (the cell budget of the automaton layer)."""
     size = table.shape[1]
     source = (a, b) if a <= b else (b, a)
     depth = {source: 0}
     seen = frontier = np.array([source[0] * size + source[1]])
-    step = max(1, budget.max_pairs // max(1, len(table)))
+    step = max(1, budget.max_signatures // max(1, len(table)))
     d = 0
     while len(frontier) and (cap is None or d < cap):
         budget.check_time()
@@ -115,7 +116,8 @@ def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
                      symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     sys_ = system if system is not None else translation_system(target, symbols, budget)
-    return PairDepthGraph((a, b), cap, _pair_bfs(sys_.table, a, b, cap, budget))
+    depth = _pair_bfs(sys_.table, a, b, cap, budget)
+    return PairDepthGraph(source=(a, b), cap=cap, depth=depth)
 
 
 def _closure(target, candidates: Iterable[tuple[int, int]],

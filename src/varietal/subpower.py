@@ -26,8 +26,7 @@ witnesses are lexicographically least.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product, starmap
-from operator import itemgetter
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ _MAX_WORDS = 2_000_000
 
 @dataclass(frozen=True)
 class OpAutomaton:
+    arity: int
     alphabet: tuple[int, ...]
     levels: tuple[np.ndarray, ...]   # levels[j]: (states_j, |alphabet|) -> states_{j+1}
     values: np.ndarray               # final state id -> base element
@@ -55,25 +55,49 @@ class OpAutomaton:
 
 def _build_automaton(op: Operation, alphabet: tuple[int, ...],
                      argorder: tuple[int, ...] | None = None) -> OpAutomaton:
-    k, m = op.arity, len(alphabet)
+    k = op.arity
+    m = len(alphabet)
     if k == 0:
         raise ValueError("nullary operations have no automaton")
     if m ** k > _MAX_WORDS:
         raise BudgetExceeded("max_signatures", f"alphabet^{k} = {m ** k} words")
     order = argorder if argorder is not None else tuple(range(k))
-    words = product(alphabet, repeat=k)
-    if k > 1:   # argument p reads letter order.index(p) of a word
-        words = map(itemgetter(*[order.index(p) for p in range(k)]), words)
-    ids: dict = {}
-    arr = [ids.setdefault(v, len(ids)) for v in starmap(op.func, words)]
-    values = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    levels: list[np.ndarray] = []
-    for j in range(k - 1, -1, -1):   # level j: suffix classes of length-j prefixes
-        ids = {}
-        arr = [ids.setdefault(tuple(arr[r * m:(r + 1) * m]), len(ids))
-               for r in range(m ** j)]
-        levels.insert(0, np.array(list(ids), dtype=np.int64).reshape(len(ids), m))
-    return OpAutomaton(alphabet=alphabet, levels=tuple(levels), values=values)
+    func = op.func
+    args = [0] * k
+    evals: list[int] = []
+    for word in product(alphabet, repeat=k):
+        for i, pos in enumerate(order):
+            args[pos] = word[i]
+        evals.append(func(*args))
+
+    ids: dict[int, int] = {}
+    arr: list[int] = []
+    for v in evals:
+        cid = ids.get(v)
+        if cid is None:
+            cid = len(ids)
+            ids[v] = cid
+        arr.append(cid)
+    values = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
+
+    levels_rev: list[np.ndarray] = []
+    for j in range(k - 1, -1, -1):
+        rows: dict[tuple[int, ...], int] = {}
+        delta: list[tuple[int, ...]] = []
+        new_arr: list[int] = []
+        for r in range(m ** j):
+            sig = tuple(arr[r * m:(r + 1) * m])
+            cid = rows.get(sig)
+            if cid is None:
+                cid = len(rows)
+                rows[sig] = cid
+                delta.append(sig)
+            new_arr.append(cid)
+        levels_rev.append(np.asarray(delta, dtype=np.int64))
+        arr = new_arr
+    levels_rev.reverse()
+    return OpAutomaton(arity=k, alphabet=alphabet,
+                       levels=tuple(levels_rev), values=values)
 
 
 @dataclass(eq=False)
@@ -139,10 +163,11 @@ class Subpower:
 
     def _automaton(self, op: Operation, argorder: tuple[int, ...] | None) -> OpAutomaton:
         key = (op.symbol, argorder)
-        if key not in self._automata:
-            self._automata[key] = _build_automaton(op, self.coordinate_alphabet(),
-                                                   argorder)
-        return self._automata[key]
+        aut = self._automata.get(key)
+        if aut is None:
+            aut = _build_automaton(op, self.coordinate_alphabet(), argorder)
+            self._automata[key] = aut
+        return aut
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -254,10 +279,12 @@ def close_subpower(base: FiniteAlgebra, width: int,
                 new.add((op.func(),) * width)
                 continue
             key = (op.symbol, alphabet)
-            if key not in automata:
-                automata[key] = _build_automaton(op, alphabet)
-            sigs, _ = _signatures(automata[key].levels, elem_alpha, budget)
-            new.update(map(tuple, automata[key].values[sigs].tolist()))
+            aut = automata.get(key)
+            if aut is None:
+                aut = _build_automaton(op, alphabet)
+                automata[key] = aut
+            sigs, _ = _signatures(aut.levels, elem_alpha, budget)
+            new.update(map(tuple, aut.values[sigs].tolist()))
         new -= known
         if not new:
             break

@@ -454,19 +454,27 @@ def verify_support_growth(ctx: BnContext) -> LemmaReport:
     """For r, s in the subpower with r(1) != s(1) = 0 and r(i) = s(i) for
     i >= 2, one application of a translation of meet, J, J', S2 with
     g(r) != g(s) grows |supp| by at most one.  Exhaustive over all such
-    pairs and every map of the translation system: the other operations
-    are constant 0 on the subpower (nonzero-ops), so they add only the
-    constant map, which never separates r from s."""
+    pairs and all translation maps of those four operations.  If each map
+    of the shared system is first witnessed by one of them, that system is
+    exactly theirs, witnesses too: a map another operation gives first
+    would carry its witness.  Otherwise (K, say) they are enumerated alone."""
     t0 = time.monotonic()
     sp = ctx.subpower
     try:
         system = ctx.system()
+        if any(step.op not in NONZERO_OPS for step in system.steps):
+            system = translation_system(sp, NONZERO_OPS, ctx.budget)
     except BudgetExceeded as exc:
         return _skip("support-growth", ctx.n, exc, t0, sp.size)
     supp = (np.asarray(sp.elements) != 0).sum(axis=1)
-    hyp_pairs = [(r_id, sp.index[(0,) + r[1:]])
-                 for r_id, r in enumerate(sp.elements)
-                 if r[0] != 0 and (0,) + r[1:] in sp.index]
+    hyp_pairs = []
+    for r_id, r in enumerate(sp.elements):
+        if r[0] == 0:
+            continue
+        s = (0,) + r[1:]
+        s_id = sp.index.get(s)
+        if s_id is not None:
+            hyp_pairs.append((r_id, s_id))
     bad = []
     for r_id, s_id in hyp_pairs:
         gr, gs = system.table[:, r_id], system.table[:, s_id]

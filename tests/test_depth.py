@@ -12,6 +12,7 @@ from varietal.depth import (
     maltsev_depth,
     pair_depth_graph,
     principal_congruence,
+    TranslationSystem,
     translation_system,
 )
 
@@ -74,6 +75,32 @@ def test_pair_bfs_matches_layered_rederivation(ctx2, ctx3, ctx4):
         assert graph.depth == expected, (ctx.n, cap)
         assert graph.depth[(min(ctx.a_id, ctx.zero_id),
                             max(ctx.a_id, ctx.zero_id))] == 0
+
+
+class GatherLog(np.ndarray):
+    """A translation table that logs the column count of each gather."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            self.log.append(len(key[1]))
+        return np.asarray(super().__getitem__(key))
+
+
+def test_pair_bfs_chunks_follow_the_cell_budget_not_max_pairs(ctx3):
+    # a chunk of table columns holds at most max_signatures cells; a huge
+    # max_pairs only lets the depth dict grow, it sizes no array
+    system = ctx3.system()
+    maps = len(system.table)
+    full = pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
+                            system=system).depth
+    for cells in (maps, 3 * maps):
+        table = system.table.view(GatherLog)
+        table.log = []
+        logged = TranslationSystem(table, system.steps)
+        budget = Budget(max_pairs=10 ** 12, max_signatures=cells)
+        assert pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
+                                system=logged, budget=budget).depth == full
+        assert max(table.log) == cells // maps
 
 
 def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2):

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from varietal import witness
 from varietal.algebra import Budget, TranslationStep
-from varietal.depth import principal_congruence
+from varietal.depth import principal_congruence, translation_system
 from varietal.subpower import op_image
 from varietal.witness import (
     LEMMA_ORDER,
@@ -22,6 +22,7 @@ from varietal.witness import (
     verify_f_characterization,
     verify_nonzero_ops,
     verify_subalgebra_omission,
+    verify_support_growth,
     witness_tuples,
 )
 
@@ -91,8 +92,8 @@ def test_translation_map_counts(ctx2, ctx3):
 
 
 def test_nonzero_translations_are_the_whole_system(ctx2, ctx3, b3_op_values):
-    # support-growth reads the whole system: the other operations act as
-    # the constant 0 on B_n, and meet already gives the constant-0 map
+    # support-growth reads the whole system here: the other operations act
+    # as the constant 0 on B_n, and meet already gives the constant-0 map
     def rows(table):
         return set(map(tuple, table.tolist()))
 
@@ -108,6 +109,19 @@ def test_nonzero_translations_are_the_whole_system(ctx2, ctx3, b3_op_values):
                 want |= rows(np.moveaxis(values, pos, -1)
                              .reshape(-1, ctx3.subpower.size))
     assert rows(ctx3.system().table) == want
+
+
+@pytest.mark.parametrize("n, maps, pairs, bad", [(2, 25, 3, 0), (3, 161, 9, 4)])
+def test_support_growth_keeps_to_its_four_ops_beside_k(ma2_k, n, maps, pairs, bad):
+    # closed under K too, the subpower has K translations that are not
+    # constant 0, so the shared system is larger and support-growth
+    # enumerates meet, J, J', S2 alone; figures as before it shared one
+    ctx = build_bn(ma2_k, n)
+    assert any(step.op == "K" for step in ctx.system().steps)
+    report = verify_support_growth(ctx)
+    assert report.witnesses == [{"hypothesis_pairs": pairs, "translations": maps}]
+    assert len(report.counterexamples) == bad
+    assert maps == len(translation_system(ctx.subpower, NONZERO_OPS).table)
 
 
 @pytest.mark.parametrize("lemma", [l for l in LEMMA_ORDER if l != "k-collapse"])
