@@ -7,7 +7,7 @@ from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
     FiniteAlgebra, Operation, TranslationStep, is_congruence, table_op
 from .depth import PairDepthGraph, TranslationSystem, congruence_from_pairs, \
     maltsev_chain, maltsev_depth, pair_depth_graph, principal_congruence, \
-    translation_system
+    principal_congruences, translation_system
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import Element, MachineAlgebra, compile_machine, \

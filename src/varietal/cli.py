@@ -114,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(verify_p)
     verify_p.add_argument("--lemma", choices=LEMMA_ORDER,
                           help="restrict to one lemma")
-    verify_p.add_argument("--with-k", action="store_true",
-                          help="also compile K (k-collapse does this itself)")
 
     depth_p = sub.add_parser("depth", help="witness pair depth per width")
     _add_common(depth_p)

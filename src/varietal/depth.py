@@ -1,15 +1,19 @@
 """Congruence generation and chain depth through fundamental translations.
 
 A fundamental translation fixes all arguments of one operation but one
-with constants.  Congruences come from one block-merging closure (Freese,
-"Computing congruences efficiently", Algebra Universalis 59, 2008).
-Depth comes from the pair BFS: the pairs {g(a), g(b)} over composed
-translations g, organized by how many translations were composed, form a
-layered graph on unordered pairs (layer 0 is {a,b}, layer d+1 holds
-unseen images of layer-d pairs).  A pair (c,d) lies in Cg(a,b) iff c and
-d are joined by a path of reached pairs, and the least M such that some
-path uses only pairs of depth <= M is the chain depth of (c,d) (a
-minimax path weight).
+with constants.  A seed or a join gets one block-merging closure (Freese,
+"Computing congruences efficiently", Algebra Universalis 59, 2008).  Many
+principal congruences take one pass over the pair graph (each pair to its
+images): by Mal'cev's lemma Cg(x,y) is the equivalence generated by the
+pairs reachable from (x,y), so a strongly connected component's pairs
+share it, and Tarjan's components, finished sinks first, each join their
+successors' Cg and their own pairs.  Depth comes from the pair BFS: the
+pairs {g(a), g(b)} over composed translations g, organized by how many
+translations were composed, form a layered graph on unordered pairs
+(layer 0 is {a,b}, layer d+1 holds unseen images of layer-d pairs).  A
+pair (c,d) lies in Cg(a,b) iff c and d are joined by a path of reached
+pairs, and the least M such that some path uses only pairs of depth <= M
+is the chain depth of (c,d) (a minimax path weight).
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -162,6 +166,105 @@ def congruence_from_pairs(target, pairs: Iterable[tuple[int, int]], *,
     """Least congruence containing all the pairs (the join of their
     principal congruences)."""
     return _closure(target, pairs, system, budget)
+
+
+def _pair_graph(table: np.ndarray, pairs: np.ndarray,
+                budget: Budget) -> tuple[list[int], memoryview]:
+    """CSR (indptr, successors) of the pair graph, i -> j when a translation
+    maps pair i onto pair j: ranked per first element in blocks of at most
+    max_signatures cells, deduped as codes i * (P + 1) + j (rank P: x = y)."""
+    count = len(pairs)
+    rank = np.full((table.shape[1],) * 2, -1, dtype=np.intp)
+    rank[pairs[:, 0], pairs[:, 1]] = rank[pairs[:, 1], pairs[:, 0]] = np.arange(count)
+    np.fill_diagonal(rank, count)
+    step = max(1, budget.max_signatures // max(1, len(table)))
+    edges, links = [np.zeros(0, dtype=np.intp)], 0
+    for x in dict.fromkeys(pairs[:, 0].tolist()):
+        group = np.flatnonzero(pairs[:, 0] == x)
+        for src in (group[lo:lo + step] for lo in range(0, len(group), step)):
+            budget.check_time()
+            ys = pairs[src, 1]
+            dst = rank.take(table[:, x, None] * len(rank) + table[:, ys])
+            if (dst < 0).any():
+                m, j = np.unravel_index(np.argmax(dst < 0), dst.shape)
+                raise ValueError(f"image {table[m, [x, ys[j]]].tolist()} of pair "
+                                 f"{pairs[src[j]].tolist()} is not a listed pair")
+            dst += src * (count + 1)
+            src, dst = np.divmod(codes := _distinct(dst), count + 1)
+            edges.append(codes[(dst != count) & (dst != src)])
+            budget.check_pairs(links := links + len(edges[-1]))
+    edges = np.concatenate(edges)
+    edges.sort()
+    indptr = np.searchsorted(edges, np.arange(count + 1) * (count + 1)).tolist()
+    edges %= count + 1
+    return indptr, memoryview(edges)
+
+
+def _components(indptr: list[int], successors: memoryview, budget: Budget):
+    """Strongly connected components, each after those it reaches (Tarjan,
+    SIAM J. Comput. 1972, iterative)."""
+    size, counter = len(indptr) - 1, 0
+    index, low, stack, path = [-1] * size, [0] * size, [], []
+    for root in range(size):
+        w = root if index[root] < 0 else None
+        while w is not None or path:
+            if w is not None:
+                index[w] = low[w] = counter
+                counter += 1
+                path.append([w, indptr[w], len(stack)])
+                stack.append(w)
+            (v, i, base), end, w = path[-1], indptr[path[-1][0] + 1], None
+            while i < end and (seen := index[successors[i]]) >= 0:
+                if seen < low[v]:
+                    low[v] = seen
+                i += 1
+            if i < end:
+                path[-1][1], w = i + 1, successors[i]
+                continue
+            path.pop()
+            if path:
+                low[path[-1][0]] = min(low[path[-1][0]], low[v])
+            if low[v] == index[v]:
+                members, stack[base:] = stack[base:], []
+                for u in members:
+                    index[u] = size   # closed: above every lowlink
+                budget.check_time()
+                yield members
+
+
+def principal_congruences(target, pairs: Iterable[tuple[int, int]], *,
+                          system: TranslationSystem | None = None,
+                          budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
+    """Cg(x, y) for every listed pair, in one pass over the pair graph (see
+    the module docstring).  An image that is not listed raises ValueError;
+    all pairs, or the pairs inside a congruence's blocks, are closed."""
+    pairs = np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2)
+    budget.check_pairs(len(pairs))
+    system = system or translation_system(target, None, budget)
+    indptr, successors = _pair_graph(system.table, pairs, budget)
+    size, xs, ys = system.table.shape[1], pairs[:, 0].tolist(), pairs[:, 1].tolist()
+    congs = [Congruence.identity(size)]
+    ids, joins = {congs[0].labels: 0}, {}
+
+    def intern(cong: Congruence) -> int:
+        if ids.setdefault(cong.labels, len(congs)) == len(congs):
+            congs.append(cong)
+        return ids[cong.labels]
+
+    cg = [0] * len(pairs)   # the identity's id until the pair's component closes
+    for members in _components(indptr, successors, budget):
+        acc = 0
+        for s in {cg[w] for v in members
+                  for w in successors[indptr[v]:indptr[v + 1]]} - {0}:
+            if (acc, s) not in joins:
+                joins[acc, s] = intern(congs[acc].equiv_join(congs[s]))
+            acc = joins[acc, s]
+        own = [(xs[v], ys[v]) for v in members if not congs[acc].relates(xs[v], ys[v])]
+        if own:
+            acc = intern(congs[acc].equiv_join(Congruence.from_pairs(size, own)))
+        for v in members:
+            cg[v] = acc
+    return [congs[i] for i in cg]
 
 
 def _adjacency(depth: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:

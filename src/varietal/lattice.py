@@ -2,10 +2,11 @@
 
 The congruence lattice is generated from the principal congruences:
 every congruence is the join of the principals it contains, so closing
-the principals (plus the identity) under pairwise join yields the whole
-lattice.  A join is the transitive closure of the union of two
-congruences (Congruence.equiv_join), which needs no translations; meets
-are block-label intersections.
+the principals (one pass over the pair graph, sinks first: Mal'cev) and
+the identity under joins with a principal yields the whole lattice.  A
+join is the transitive closure of the union of two congruences
+(Congruence.equiv_join), which needs no translations; meets are
+block-label intersections.
 
 Meet-semidistributivity: a ^ b = a ^ c implies a ^ b = a ^ (b v c) for
 all triples.  The check runs over the full triple cube with numpy and
@@ -20,34 +21,33 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import Budget, Congruence, DEFAULT_BUDGET
-from .depth import TranslationSystem, principal_congruence, translation_system
+from .depth import TranslationSystem, principal_congruences, translation_system
 
 
 def congruence_lattice(target, *, system: TranslationSystem | None = None,
                        budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """All congruences of the target algebra, canonically sorted.
 
-    Generates principal congruences for every pair, then closes the set
-    under pairwise joins.  Meets come for free (label intersection); one
-    outside the set raises ValueError.
+    Takes the principal congruences of every pair from one pass over the
+    pair graph, then closes them under joins.  Meets come for free (label
+    intersection); one outside the set raises ValueError.
     """
     if system is None:
         system = translation_system(target, budget=budget)
-    size = target.size
-
-    found: dict[tuple[int, ...], Congruence] = {}
-    ident = Congruence.identity(size)
-    found[ident.labels] = ident
-    for a, b in combinations(range(size), 2):
-        cg = principal_congruence(target, a, b, system=system, budget=budget)
-        found.setdefault(cg.labels, cg)
-
-    # close under pairwise join; newly found joins join again
+    pairs = list(combinations(range(target.size), 2))
+    cgs = principal_congruences(target, pairs, system=system, budget=budget)
+    # each distinct principal congruence, with the first pair generating it
+    principals = {cg.labels: (cg, pair) for pair, cg in reversed(list(zip(pairs, cgs)))}
+    found = {cg.labels: cg for cg in [Congruence.identity(target.size), *cgs]}
+    # the join closure of a generating set needs joins with generators
+    # only, and theta v Cg(x,y) = theta when theta relates x and y
     work = list(found.values())
     while work:
         theta = work.pop()
         budget.check_time()
-        for psi in list(found.values()):
+        for psi, (x, y) in principals.values():
+            if theta.relates(x, y):
+                continue
             join = theta.equiv_join(psi)
             if join.labels not in found:
                 found[join.labels] = join

@@ -5,7 +5,7 @@ the public API; independent oracles live in oracles.py and altops.py.
 
 import json
 import time
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ import altops
 import oracles
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.cli import main
-from varietal.depth import principal_congruence
+from varietal.depth import principal_congruence, principal_congruences, \
+    translation_system
 from varietal.lattice import (
     congruence_lattice,
     is_meet_semidistributive,
@@ -355,6 +356,21 @@ def test_criterion_14_oracle_equivalence(ctx2, ctx3):
             [(ctx.a_id, ctx.zero_id)])
         assert theta.labels == labels
     report_line(14, "oracle equivalence", t0)
+
+
+def test_principal_congruences_match_on_random_instances():
+    """Every pair of criterion 14's instances: the bucket oracle up to 12
+    elements (where ternary operations make it cheap enough), one closure
+    per pair above."""
+    for i in range(50):
+        alg, tables, _ = random_instance(1000 + i)
+        pairs, system = list(combinations(range(alg.size), 2)), translation_system(alg)
+        got = principal_congruences(alg, pairs, system=system)
+        for (x, y), theta in zip(pairs, got):
+            expected = (oracles.bucket_congruence(alg.size, tables, [(x, y)])
+                        if alg.size <= 12 else
+                        principal_congruence(alg, x, y, system=system).labels)
+            assert theta.labels == expected, (i, x, y)
 
 
 # -- 15: determinism -----------------------------------------------------------------

@@ -203,6 +203,30 @@ def test_tiny_time_budget_exits_3_without_a_traceback(argv):
     assert b"Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2..3", "--max-elements", "5"],
+    ["depth", "--n", "2..5", "--max-elements", "5"],
+    ["bn", "build", "--n", "2..5", "--max-elements", "5"],
+    ["bn", "build", "--with-k", "--n", "2..5", "--max-elements", "5"],
+    ["sd-meet", "--n", "2..4", "--max-elements", "5"],
+    ["verify", "--n", "2..3", "--max-pairs", "5"],
+    ["verify", "--n", "4", "--lemma", "atomic", "--max-pairs", "5"],
+    ["depth", "--n", "2..5", "--max-pairs", "5"],
+    ["sd-meet", "--n", "4", "--max-pairs", "100"],
+], ids=" ".join)
+def test_tiny_memory_budget_exits_3_naming_its_cap(argv, capsys):
+    """A budget exception that escaped would fail the test; the skip note
+    (stdout) or the message (stderr) names the cap that was hit."""
+    assert main([*argv, "--tm", HALTING]) == 3
+    out, err = capsys.readouterr()
+    assert argv[-2][2:].replace("-", "_") in out + err
+
+
+def test_verify_has_no_with_k_option(capsys):
+    assert main(["verify", "--tm", HALTING, "--with-k"]) == 2
+    assert "--with-k" in capsys.readouterr().err
+
+
 def test_verify_timings_flag(tmp_path):
     out = tmp_path / "timed.json"
     assert main(["verify", "--tm", HALTING, "--lemma", "structure",

@@ -1,5 +1,5 @@
 import time
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from varietal.depth import (
     maltsev_depth,
     pair_depth_graph,
     principal_congruence,
+    principal_congruences,
     TranslationSystem,
     translation_system,
 )
@@ -138,6 +139,73 @@ def test_principal_congruence_matches_bucket_oracle(ctx2, ctx3, b3_op_values):
         theta = principal_congruence(ctx.subpower, x, y, system=ctx.system())
         labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
         assert theta.labels == labels, (ctx.n, x, y)
+
+
+def test_principal_congruences_match_bucket_oracle(ctx2, ctx3, b3_op_values):
+    for ctx, tables in ((ctx2, oracles.subpower_op_values(ctx2.subpower)),
+                        (ctx3, b3_op_values)):
+        pairs = list(combinations(range(ctx.subpower.size), 2))
+        got = principal_congruences(ctx.subpower, pairs, system=ctx.system())
+        for (x, y), theta in zip(pairs, got):
+            labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
+            assert theta.labels == labels, (ctx.n, x, y)
+
+
+def test_principal_congruences_match_one_closure_per_pair(ctx4):
+    sp, system = ctx4.subpower, ctx4.system()
+    pairs = list(combinations(range(sp.size), 2))
+    got = principal_congruences(sp, pairs, system=system)
+    assert len(pairs) == len(got) == 435
+    for (x, y), theta in zip(pairs, got):
+        assert theta == principal_congruence(sp, x, y, system=system), (x, y)
+
+
+def test_principal_congruences_take_pairs_in_any_order_and_orientation(ctx3):
+    sp, system = ctx3.subpower, ctx3.system()
+    pairs = list(combinations(range(sp.size), 2))
+    shuffled = [(y, x) if i % 3 else (x, y) for i, (x, y) in enumerate(pairs[::-1])]
+    # a repeated and a reflexive pair ride along
+    shuffled += [shuffled[0], (4, 4)]
+    got = principal_congruences(sp, shuffled, system=system)
+    for (x, y), theta in zip(shuffled, got):
+        assert theta == principal_congruence(sp, x, y, system=system), (x, y)
+    assert principal_congruences(sp, [], system=system) == []
+
+
+def test_principal_congruences_reject_pairs_not_closed_under_images(ctx3):
+    sp, system = ctx3.subpower, ctx3.system()
+    theta = principal_congruence(sp, ctx3.a_id, ctx3.zero_id, system=system)
+    inside = [p for block in theta.blocks() for p in combinations(block, 2)]
+    assert [psi.refines(theta) for psi in
+            principal_congruences(sp, inside, system=system)] == [True] * len(inside)
+    outside = next((x, y) for x, y in combinations(range(sp.size), 2)
+                   if not theta.relates(x, y))
+    with pytest.raises(ValueError, match=rf"of pair \[{outside[0]}, {outside[1]}\] "
+                                         "is not a listed pair"):
+        principal_congruences(sp, [outside], system=system)
+
+
+def test_principal_congruences_charge_pairs_links_and_time(ctx3):
+    sp, system = ctx3.subpower, ctx3.system()
+    pairs = list(combinations(range(sp.size), 2))
+    with pytest.raises(BudgetExceeded, match="91 > 90"):
+        principal_congruences(sp, pairs, system=system, budget=Budget(max_pairs=90))
+    # 91 pairs pass the first charge; the links of the pair graph do not
+    with pytest.raises(BudgetExceeded, match="max_pairs"):
+        principal_congruences(sp, pairs, system=system, budget=Budget(max_pairs=91))
+    with pytest.raises(BudgetExceeded) as info:
+        principal_congruences(sp, pairs, system=system,
+                              budget=Budget(deadline=time.monotonic() - 1.0))
+    assert info.value.what == "max_seconds"
+
+
+def test_principal_congruences_are_unchanged_by_the_cell_budget(ctx3):
+    sp, system = ctx3.subpower, ctx3.system()
+    pairs = list(combinations(range(sp.size), 2))
+    expected = principal_congruences(sp, pairs, system=system)
+    # one column of map images per block
+    tiny = Budget(max_signatures=len(system.table))
+    assert principal_congruences(sp, pairs, system=system, budget=tiny) == expected
 
 
 def test_maltsev_depth_matches_minimax_oracle(ctx2):
