@@ -11,7 +11,7 @@ here is deterministic.  The subuniverse generated by a set of elements is
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -99,11 +99,13 @@ def table_op(symbol: str, arity: int, size: int,
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """Universe 0..size-1 plus named operations.  `zero` is the index of a
-    known absorbing bottom element, if any."""
+    known absorbing bottom element, if any.  `automata` caches the
+    coordinate automata of its operations (see `subpower`)."""
 
     size: int
     ops: tuple[Operation, ...]
     zero: int | None = None
+    automata: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         symbols = [op.symbol for op in self.ops]

@@ -36,7 +36,7 @@ from .algebra import (
     FiniteAlgebra,
     TranslationStep,
 )
-from .subpower import Subpower, translation_maps
+from .subpower import Subpower, _distinct, translation_maps
 
 
 @dataclass(eq=False)
@@ -58,11 +58,6 @@ def translation_system(target: FiniteAlgebra | Subpower,
     if not isinstance(target, Subpower):
         target = Subpower(target, 1, tuple((x,) for x in range(target.size)))
     return TranslationSystem(*translation_maps(target, symbols, budget))
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    codes = np.sort(codes, axis=None)
-    return codes[np.diff(codes, prepend=-1) != 0]
 
 
 def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
@@ -88,13 +83,13 @@ def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
             codes += np.maximum(p, q, out=p)
             found.append(_distinct(codes))
         new = _distinct(np.concatenate(found))
-        new = new[~np.isin(new, seen)]
+        new = new[~np.isin(new, seen, assume_unique=True)]
         # name the first count past the cap, as a pair-at-a-time check would
         budget.check_pairs(min(len(depth) + len(new), budget.max_pairs + 1))
         d += 1
         px, py = np.divmod(new, size)
         depth.update(dict.fromkeys(zip(px.tolist(), py.tolist()), d))
-        seen, frontier = np.union1d(seen, new), new
+        seen, frontier = _distinct(np.concatenate([seen, new])), new
     return depth
 
 
@@ -142,7 +137,7 @@ def _closure(target, candidates: Iterable[tuple[int, int]],
                 label[label == lv] = lu
                 work.append((lu, lv))
         if not work:
-            return Congruence(tuple(np.unique(label, return_inverse=True)[1].tolist()))
+            return Congruence(tuple(np.searchsorted(_distinct(label), label).tolist()))
         budget.check_time()
         if system is None:
             system = translation_system(target, None, budget)
@@ -150,7 +145,7 @@ def _closure(target, candidates: Iterable[tuple[int, int]],
         p, q = label[system.table[:, x]], label[system.table[:, y]]
         apart = p != q
         codes = np.minimum(p, q)[apart] * size + np.maximum(p, q)[apart]
-        candidates = [divmod(c, size) for c in np.unique(codes).tolist()]
+        candidates = [divmod(c, size) for c in _distinct(codes).tolist()]
 
 
 def principal_congruence(target, a: int, b: int, *,

@@ -5,17 +5,29 @@ restricted to the values occurring in coordinates (the alphabet).  Each
 operation gets a layered automaton whose level-j states are suffix classes:
 prefixes reaching one state agree under every completion.  So a tuple of
 per-coordinate states (a signature) is all a partial argument choice can
-still do, a few hundred signatures even for arity-5 operations.  A level
-step takes each (signature s, element e) cell to delta[s[c], e[c]] per
-coordinate c.  No cells x width block is built: a cell's int64 code folds
-one coordinate at a time in radix (first most significant, so code order
-is row order); where a multiply could overflow, partial codes are replaced
-by their ranks among all cells, found in one more pass.  Only the first
-cell of each distinct code is expanded back into a row.  Cells are coded in
-blocks of signature rows of at most Budget.max_signatures cells, one row
-being charged before any block is built, with one deadline check a block.
-A translation image is coded by the alphabet positions of its values, so
-np.searchsorted on the sorted elements' codes gives its element id.
+still do, a few hundred signatures even for arity-5 operations.  An
+automaton depends only on the operation, the alphabet and the argument
+order, so each algebra keeps its automata in one cache (its `automata`
+field) keyed by (symbol, alphabet, argument order), shared by every
+closure round, subpower and width over that algebra.
+
+A level step takes each (signature s, element e) cell to delta[s[c], e[c]]
+per coordinate c.  No cells x width block is built: a cell's int64 code
+folds one coordinate at a time in radix (first most significant, so code
+order is row order); where a multiply would pass a cap, partial codes are
+replaced by their ranks among all cells, found in one more pass.  Signature
+codes are deduped without sorting: every code lies below a span of at most
+Budget.max_signatures (the cap; past it the codes are re-ranked, and a
+level with more signatures than the cap is a budget skip), and one int64
+first-occurrence table of span entries, charged before it is allocated,
+keeps each code's least flat cell index (np.minimum.at).  The entries that
+were reached, sorted, are the first cells of the distinct signatures in
+first-reached order; only they are expanded back into rows.  Cells are
+coded in blocks of signature rows of at most Budget.max_signatures cells,
+one row being charged before any block is built, with one deadline check a
+block.  A translation image is coded by the alphabet positions of its
+values (capped only by int64), so np.searchsorted on the sorted elements'
+codes gives its element id.
 
 Enumeration order is canonical everywhere: operations in declared order,
 argument positions ascending, constants in lexicographic element order;
@@ -100,6 +112,18 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
                        levels=tuple(levels_rev), values=values)
 
 
+def _automaton(base: FiniteAlgebra, op: Operation, alphabet: tuple[int, ...],
+               argorder: tuple[int, ...] | None = None) -> OpAutomaton:
+    """The automaton of base's operation op over alphabet, built once per
+    (symbol, alphabet, argument order) and kept in base.automata."""
+    key = (op.symbol, alphabet,
+           tuple(range(op.arity)) if argorder is None else argorder)
+    aut = base.automata.get(key)
+    if aut is None:
+        aut = base.automata[key] = _build_automaton(op, alphabet, key[2])
+    return aut
+
+
 @dataclass(eq=False)
 class Subpower:
     """A subuniverse of base^width, closed under every operation.
@@ -113,7 +137,6 @@ class Subpower:
     elements: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int] = field(init=False)
     algebra: FiniteAlgebra = field(init=False)
-    _automata: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.index = {t: i for i, t in enumerate(self.elements)}
@@ -161,44 +184,58 @@ class Subpower:
             raise ValueError(f"{symbol} takes {op.arity} arguments")
         return tuple(op.func(*(a[i] for a in args)) for i in range(self.width))
 
-    def _automaton(self, op: Operation, argorder: tuple[int, ...] | None) -> OpAutomaton:
-        key = (op.symbol, argorder)
-        aut = self._automata.get(key)
-        if aut is None:
-            aut = _build_automaton(op, self.coordinate_alphabet(), argorder)
-            self._automata[key] = aut
-        return aut
-
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _row_codes(blocks, width: int, radix: int, budget: Budget):
-    """(first row, codes) per block of blocks(), which yields (first row,
-    column) with column(c) holding coordinate c of its rows, in [0, radix);
-    the fold and its re-ranking are described in the module docstring."""
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of codes, flattened: np.unique without
+    its cost on large arrays, and without importing numpy.ma."""
+    codes = codes.flatten()
+    codes.sort()
+    keep = np.empty(codes.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _row_codes(blocks, width: int, radix: int, budget: Budget,
+               cap: int = _INT64_MAX):
+    """(span, iterator of (first row, codes) per block of blocks()), where
+    blocks() yields (first row, column) with column(c) holding coordinate c
+    of its rows, in [0, radix), and every code lies in [0, span), span <=
+    cap unless the rows have more distinct codes than cap; the fold and
+    its re-ranking are described in the module docstring."""
+    limit = min(cap, _INT64_MAX)
     ranks: dict[int, np.ndarray] = {}
 
     def fold(column, upto: int) -> np.ndarray:
         codes = column(0).astype(np.int64)
-        for c in range(1, upto):
+        for c in range(1, upto + 1):
             if c in ranks:
                 codes = np.searchsorted(ranks[c], codes)
-            codes *= radix
-            codes += column(c)
+            if c < upto:
+                codes *= radix
+                codes += column(c)
         return codes
+
+    def rank(upto: int) -> int:
+        # ranks[upto]: the distinct codes of the first upto coordinates
+        table = np.zeros(0, dtype=np.int64)
+        for _, column in blocks():
+            table = _distinct(np.concatenate([table, fold(column, upto).ravel()]))
+            budget.check_signatures(len(table))
+        ranks[upto] = table
+        return len(table)
 
     span = radix
     for c in range(1, width):
-        if span * radix > _INT64_MAX:
-            table = np.zeros(0, dtype=np.int64)
-            for _, column in blocks():
-                table = np.union1d(table, fold(column, c))
-                budget.check_signatures(len(table))
-            ranks[c], span = table, len(table) + 1
+        if span * radix > limit:
+            span = rank(c)
         span *= radix
-    for lo, column in blocks():
-        yield lo, fold(column, width)
+    if span > limit:
+        span = rank(width)
+    return span, ((lo, fold(column, width)) for lo, column in blocks())
 
 
 def _blocks(table: np.ndarray, sigs: np.ndarray, cols: np.ndarray,
@@ -223,18 +260,19 @@ def _signatures(levels, elem_alpha: np.ndarray,
     for delta in levels:
         radix = int(delta.max()) + 1
         # a level into state 0 alone has one signature, first reached at cell 0
-        codes = first = np.zeros(int(radix == 1), dtype=np.int64)
-        for lo, block in (_row_codes(lambda: _blocks(delta, sigs, cols, budget),
-                                     width, radix, budget) if radix > 1 else ()):
-            # merged with the codes so far: a code's least flat index is its first
-            cand = np.concatenate([codes, block.ravel()])
-            at = np.concatenate([first, np.arange(lo * n_elems, lo * n_elems + block.size)])
-            order = np.argsort(cand)
-            cand = cand[order]
-            head = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
-            codes, first = cand[head], np.minimum.reduceat(at[order], head)
-            budget.check_signatures(len(codes))
-        s, e = np.divmod(np.sort(first), n_elems)
+        first = np.zeros(1, dtype=np.int64)
+        if radix > 1:
+            span, coded = _row_codes(lambda: _blocks(delta, sigs, cols, budget),
+                                     width, radix, budget, budget.max_signatures)
+            # least[code]: the least flat cell index with that code, or cells
+            cells = len(sigs) * n_elems
+            budget.check_signatures(span)
+            least = np.full(span, cells, dtype=np.int64)
+            for lo, block in coded:
+                np.minimum.at(least, block.ravel(),
+                              np.arange(lo * n_elems, lo * n_elems + block.size))
+            first = np.sort(least[least < cells])
+        s, e = np.divmod(first, n_elems)
         sigs = delta[sigs[s], elem_alpha[e]]
         wits = np.concatenate([wits[s], e[:, None]], axis=1)
     return sigs, wits
@@ -246,7 +284,7 @@ def op_image(sp: Subpower, symbol: str,
     op = sp.base.op(symbol)
     if op.arity == 0:
         return {(op.func(),) * sp.width}
-    aut = sp._automaton(op, None)
+    aut = _automaton(sp.base, op, sp.coordinate_alphabet())
     sigs, _ = _signatures(aut.levels, np.searchsorted(aut.alphabet, np.asarray(sp.elements)),
                           budget)
     return set(map(tuple, aut.values[sigs].tolist()))
@@ -268,7 +306,6 @@ def close_subpower(base: FiniteAlgebra, width: int,
     if not known:
         raise ValueError("need at least one generator")
 
-    automata: dict[tuple, OpAutomaton] = {}
     while True:
         budget.check_time()
         alphabet = tuple(sorted({v for t in known for v in t}))
@@ -278,11 +315,7 @@ def close_subpower(base: FiniteAlgebra, width: int,
             if op.arity == 0:
                 new.add((op.func(),) * width)
                 continue
-            key = (op.symbol, alphabet)
-            aut = automata.get(key)
-            if aut is None:
-                aut = _build_automaton(op, alphabet)
-                automata[key] = aut
+            aut = _automaton(base, op, alphabet)
             sigs, _ = _signatures(aut.levels, elem_alpha, budget)
             new.update(map(tuple, aut.values[sigs].tolist()))
         new -= known
@@ -325,7 +358,8 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     """
     wanted = None if symbols is None else set(symbols)
     n_elems, width = sp.size, sp.width
-    alphabet = np.asarray(sp.coordinate_alphabet(), dtype=np.int64)
+    letters = sp.coordinate_alphabet()
+    alphabet = np.asarray(letters, dtype=np.int64)
     elem_alpha, m = np.searchsorted(alphabet, np.asarray(sp.elements)), len(alphabet)
     cols = np.ascontiguousarray(elem_alpha.T)
     table, buckets, steps = np.zeros((0, n_elems), dtype=np.intp), {}, []
@@ -338,16 +372,16 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
         k = op.arity
         for posn in range(k):
             argorder = tuple([p for p in range(k) if p != posn] + [posn])
-            aut = sp._automaton(op, argorder)
+            aut = _automaton(sp.base, op, letters, argorder)
             sigs, wits = _signatures(aut.levels[:-1], elem_alpha, budget)
             final = aut.levels[-1]
             # image values by alphabet position, m for one outside it; the
             # elements are coded first, so they share the ranks
             pos = np.searchsorted(alphabet, aut.values)
             pos[alphabet[np.minimum(pos, m - 1)] != aut.values] = m
-            coded = _row_codes(lambda: chain([(0, cols.__getitem__)],
-                                             _blocks(pos[final], sigs, cols, budget)),
-                               width, m + 1, budget)
+            _, coded = _row_codes(lambda: chain([(0, cols.__getitem__)],
+                                                _blocks(pos[final], sigs, cols, budget)),
+                                  width, m + 1, budget)
             elem_codes = next(coded)[1]
             for lo, img in coded:
                 ids = np.minimum(np.searchsorted(elem_codes, img), n_elems - 1)

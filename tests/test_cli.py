@@ -286,3 +286,18 @@ def test_sd_meet_verdicts_survive_optimized_mode():
 def test_sd_meet_needs_target(capsys):
     assert main(["sd-meet"]) == 2
     assert "needs --tm or --fixture" in capsys.readouterr().err
+
+
+def test_commands_do_not_import_numpy_ma():
+    """A bare np.unique or np.union1d imports numpy.ma (11-15 ms a
+    process); no command may reach one."""
+    code = ("import contextlib, io, sys\n"
+            "from varietal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main([*argv, '--tm', sys.argv[1]]) for argv in\n"
+            "             (['depth', '--n', '2..5'], ['verify', '--n', '2..3'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", code, HALTING], env=env,
+                         capture_output=True, timeout=120)
+    assert run.stdout.decode().split() == ["[0,", "0]", "False"], run.stderr

@@ -9,11 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from varietal.algebra import Budget, BudgetExceeded, Operation, TranslationStep
-from varietal import subpower
+from varietal import build_bn, build_kprime, compile_machine, subpower
 from varietal.subpower import (
     Subpower,
     _build_automaton,
     _row_codes,
+    _signatures,
     close_subpower,
     op_image,
     translation_maps,
@@ -65,7 +66,7 @@ def test_row_codes_sort_and_dedupe_like_rows(case):
         for lo in range(0, len(rows), step):
             yield lo, lambda c, lo=lo: rows[lo:lo + step, c]
 
-    coded = _row_codes(blocks, rows.shape[1], radix, Budget())
+    _, coded = _row_codes(blocks, rows.shape[1], radix, Budget())
     codes = np.concatenate([block for _, block in coded])
     assert codes.dtype == np.int64 and codes.shape == (len(rows),)
     got = np.unique(codes, return_index=True)[1]
@@ -136,6 +137,59 @@ class BlockBudget(Budget):
         pass
 
 
+def reference_signatures(levels, elem_alpha):
+    """_signatures by a pure-Python scan of the (signature, element) cells,
+    plus the most signatures any level has."""
+    rows = elem_alpha.tolist()
+    sigs, wits, most = [(0,) * elem_alpha.shape[1]], [()], 1
+    for delta in levels:
+        first = {}
+        for s, sig in enumerate(sigs):
+            for e, row in enumerate(rows):
+                cell = tuple(int(delta[q, a]) for q, a in zip(sig, row))
+                first.setdefault(cell, (s, e))
+        sigs, wits = list(first), [wits[s] + (e,) for s, e in first.values()]
+        most = max(most, len(sigs))
+    return sigs, wits, most
+
+
+@st.composite
+def signature_cases(draw):
+    """Levels with 1-5 states over an alphabet of 2-3 letters, element rows
+    over it, and a budget: unbounded, or blocks of 1-3 signature rows whose
+    cells also cap the first-occurrence table (so most levels re-rank),
+    with the caps enforced or not."""
+    m = draw(st.integers(2, 3))
+    states = [1] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    levels = [draw(hnp.arrays(np.int64, (states[j], m),
+                              elements=st.integers(0, states[j + 1] - 1)))
+              for j in range(len(states) - 1)]
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    elem_alpha = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, m - 1)))
+    kind = draw(st.sampled_from([Budget, BlockBudget]))
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    budget = Budget() if rows is None else kind(max_signatures=rows * shape[0])
+    return levels, elem_alpha, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(signature_cases())
+@example(([np.array([[0, 1]]), np.array([[1, 0], [0, 0]])],
+          np.array([[0, 1], [1, 1], [0, 1], [1, 0]]), BlockBudget(max_signatures=4)))
+def test_signatures_match_a_cell_scan(case):
+    levels, elem_alpha, budget = case
+    want_sigs, want_wits, most = reference_signatures(levels, elem_alpha)
+    try:
+        sigs, wits = _signatures(levels, elem_alpha, budget)
+    except BudgetExceeded as exc:
+        # only an enforced cap below some level's signature count may stop it
+        assert type(budget) is Budget and exc.what == "max_signatures"
+        assert most > budget.max_signatures
+        return
+    assert list(map(tuple, sigs.tolist())) == want_sigs
+    assert list(map(tuple, wits.tolist())) == want_wits
+
+
 def with_generators(*ctxs):
     for ctx in ctxs:
         gens = [ctx.b[i] for i in range(1, ctx.n + 1)] + \
@@ -174,18 +228,77 @@ def test_reranked_codes_do_not_change_results(monkeypatch, ma2, ctx3, kctx3):
     expected = [(translation_maps(sp),
                  close_subpower(sp.base, sp.width, gens).elements,
                  op_image(sp, "S2")) for sp, gens in cases]
-    # every column past the first now re-ranks its partial codes
+    reranks = []
+    distinct = subpower._distinct
+    monkeypatch.setattr(subpower, "_distinct",
+                        lambda codes: reranks.append(len(codes)) or distinct(codes))
+
+    def check(budget_for):
+        for (sp, gens), ((table, steps), elements, image) in zip(cases, expected):
+            budget = budget_for(sp)
+            got_table, got_steps = translation_maps(sp, budget=budget)
+            assert np.array_equal(got_table, table) and got_steps == steps
+            assert close_subpower(sp.base, sp.width, gens, budget).elements == elements
+            assert op_image(sp, "S2", budget) == image
+
+    # a first-occurrence table of at most one signature row's cells: every
+    # level of _signatures whose radix ** width passes that re-ranks
+    check(lambda sp: BlockBudget(max_signatures=sp.size))
+    assert reranks
+    # every column past the first now re-ranks its partial codes, and
+    # every level's full codes are re-ranked for the table
+    reranks.clear()
     monkeypatch.setattr(subpower, "_INT64_MAX", 1)
-    for (sp, gens), ((table, steps), elements, image) in zip(cases, expected):
-        got_table, got_steps = translation_maps(sp)
-        assert np.array_equal(got_table, table) and got_steps == steps
-        assert close_subpower(sp.base, sp.width, gens).elements == elements
-        assert op_image(sp, "S2") == image
+    check(lambda sp: Budget())
+    assert reranks
     dd, bd = ma2.idx("D"), ma2.idx("bD")
     open_set = Subpower(base=ma2.algebra, width=2,
                         elements=((0, 0), (dd, dd), (dd, bd)))
     with pytest.raises(ValueError, match=rf"image \({dd}, 0\) of meet escapes"):
         translation_maps(open_set)
+
+
+@pytest.mark.parametrize("cap", [13, 40, 100, 300, 700])
+def test_signature_table_cap_holds_or_names_max_signatures(ctx3, kctx3, cap):
+    """Below radix ** width a real budget still gives the same closure and
+    translation system, or stops naming max_signatures; never a
+    MemoryError.  Caps of 300 and up hold every level's signatures."""
+    for sp, gens in with_generators(ctx3, kctx3):
+        table, steps = translation_maps(sp)
+        radix = max(int(level.max()) + 1
+                    for aut in sp.base.automata.values() for level in aut.levels)
+        assert cap < radix ** sp.width
+        budget = Budget(max_signatures=cap)
+        try:
+            assert close_subpower(sp.base, sp.width, gens, budget).elements == sp.elements
+            got_table, got_steps = translation_maps(sp, budget=budget)
+            assert np.array_equal(got_table, table) and got_steps == steps
+        except BudgetExceeded as exc:
+            assert exc.what == "max_signatures" and cap < 300
+
+
+def test_automata_are_built_once_per_algebra(monkeypatch, halting_tm):
+    built = []
+    build = subpower._build_automaton
+
+    def counted(op, alphabet, argorder=None):
+        built.append((op.symbol, alphabet, argorder))
+        return build(op, alphabet, argorder)
+
+    monkeypatch.setattr(subpower, "_build_automaton", counted)
+    ma = compile_machine(halting_tm)
+    for n in range(2, 6):
+        build_bn(ma, n).system()
+    assert len(built) == len(set(built)) == len(ma.algebra.automata)
+    assert set(built) == set(ma.algebra.automata)
+    # the K-extended algebra has operations of the same symbols over the
+    # same alphabet, and builds its own automata for them
+    plain = set(built)
+    built.clear()
+    ma_k = compile_machine(halting_tm, with_k=True)
+    build_kprime(ma_k, 3).system()
+    assert len(built) == len(set(built)) == len(ma_k.algebra.automata)
+    assert plain & set(built)
 
 
 def test_translation_maps_honour_an_expired_deadline(ctx2):
