@@ -5,8 +5,8 @@ meet-semidistributivity)."""
 
 from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
     FiniteAlgebra, Operation, TranslationStep, is_congruence, table_op
-from .depth import PairDepthGraph, TranslationSystem, congruence_from_pairs, \
-    maltsev_chain, maltsev_depth, pair_depth_graph, principal_congruence, \
+from .depth import PairDepthGraph, TranslationSystem, maltsev_chain, \
+    maltsev_depth, pair_depth_graph, principal_congruence, \
     principal_congruences, translation_system
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice

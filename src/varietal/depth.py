@@ -1,19 +1,18 @@
 """Congruence generation and chain depth through fundamental translations.
 
 A fundamental translation fixes all arguments of one operation but one
-with constants.  A seed or a join gets one block-merging closure (Freese,
-"Computing congruences efficiently", Algebra Universalis 59, 2008).  Many
-principal congruences take one pass over the pair graph (each pair to its
-images): by Mal'cev's lemma Cg(x,y) is the equivalence generated by the
-pairs reachable from (x,y), so a strongly connected component's pairs
-share it, and Tarjan's components, finished sinks first, each join their
-successors' Cg and their own pairs.  Depth comes from the pair BFS: the
-pairs {g(a), g(b)} over composed translations g, organized by how many
-translations were composed, form a layered graph on unordered pairs
-(layer 0 is {a,b}, layer d+1 holds unseen images of layer-d pairs).  A
-pair (c,d) lies in Cg(a,b) iff c and d are joined by a path of reached
-pairs, and the least M such that some path uses only pairs of depth <= M
-is the chain depth of (c,d) (a minimax path weight).
+with constants.  The pair BFS walks the pairs {g(a), g(b)} over composed
+translations g, organized by how many translations were composed: a
+layered graph on unordered pairs (layer 0 is {a,b}, layer d+1 holds unseen
+images of layer-d pairs).  By Mal'cev's lemma Cg(a,b) is the equivalence
+generated by the reached pairs, so one walk serves Cg(a,b), depth and
+f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by a path of
+reached pairs, and the least M such that some path uses only pairs of
+depth <= M is the chain depth of (c,d) (a minimax path weight).  The
+all-pairs job takes one pass over the pair graph (each pair to its
+images): a strongly connected component's pairs share their Cg, and
+Tarjan's components, finished sinks first, each join their successors'
+Cg and their own pairs.
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -119,48 +118,13 @@ def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
     return PairDepthGraph(source=(a, b), cap=cap, depth=depth)
 
 
-def _closure(target, candidates: Iterable[tuple[int, int]],
-             system: TranslationSystem | None, budget: Budget) -> Congruence:
-    """Least congruence containing the candidate pairs, by block merging.
-    label[x] is the least member of the block of x.  A candidate either
-    merges two blocks and is queued, or is dropped: at most |A|-1 merges.
-    The images of a queued pair under every translation are the next
-    candidates.  Labels, not merge order, fix the output."""
-    size = target.size
-    label = np.arange(size)
-    work: list[tuple[int, int]] = []
-    while True:
-        for u, v in candidates:
-            lu, lv = label[u], label[v]
-            if lu != lv:
-                lu, lv = min(lu, lv), max(lu, lv)
-                label[label == lv] = lu
-                work.append((lu, lv))
-        if not work:
-            return Congruence(tuple(np.searchsorted(_distinct(label), label).tolist()))
-        budget.check_time()
-        if system is None:
-            system = translation_system(target, None, budget)
-        x, y = work.pop()
-        p, q = label[system.table[:, x]], label[system.table[:, y]]
-        apart = p != q
-        codes = np.minimum(p, q)[apart] * size + np.maximum(p, q)[apart]
-        candidates = [divmod(c, size) for c in _distinct(codes).tolist()]
-
-
 def principal_congruence(target, a: int, b: int, *,
                          system: TranslationSystem | None = None,
                          budget: Budget = DEFAULT_BUDGET) -> Congruence:
-    """Cg(a,b): the least congruence relating a and b."""
-    return _closure(target, [(a, b)], system, budget)
-
-
-def congruence_from_pairs(target, pairs: Iterable[tuple[int, int]], *,
-                          system: TranslationSystem | None = None,
-                          budget: Budget = DEFAULT_BUDGET) -> Congruence:
-    """Least congruence containing all the pairs (the join of their
-    principal congruences)."""
-    return _closure(target, pairs, system, budget)
+    """Cg(a,b): the equivalence generated by the pairs reached from (a,b)."""
+    system = system or translation_system(target, None, budget)
+    return Congruence.from_pairs(system.table.shape[1],
+                                 _pair_bfs(system.table, a, b, None, budget))
 
 
 def _pair_graph(table: np.ndarray, pairs: np.ndarray,

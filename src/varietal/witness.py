@@ -545,47 +545,51 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
         return _skip("k-collapse", n, exc, t0)
     sp = ctx.subpower
     bad = []
-    witnesses = []
-    try:
-        b_prime = ctx.id_of(ctx.d[n])
-        trace = [b_prime]
-        for k in range(2, n):
-            args = (ctx.id_of(ctx.b[n]), b_prime, ctx.id_of(ctx.d[n - (k - 1)]))
-            try:
-                b_prime = sp.algebra.eval("K", args)
-            except ValueError as exc:
-                return LemmaReport("k-collapse", n, passed=False,
-                                   counterexamples=[{"escape": str(exc)}],
-                                   stats=_stats(ctx, 0, t0))
-            trace.append(b_prime)
-        raw = sp.elements[b_prime]
-        bar = ctx.algebra.bar_index
-        b_n = ctx.b[n]
-        for i in range(1, n):
-            if raw[i] != bar[b_n[i]]:
-                bad.append({"coordinate": i + 1,
-                            "b_prime": ctx.render(raw)})
-        barred_count = sum(1 for v in raw if bar[v] >= 0
-                           and ctx.algebra.elements[v].barred)
-        if barred_count < 2:
-            bad.append({"structure_item_2_not_violated": ctx.render(raw)})
-        lam_a = sp.algebra.eval("J'", (ctx.id_of(b_n), b_prime, ctx.a_id))
-        lam_0 = sp.algebra.eval("J'", (ctx.id_of(b_n), b_prime, ctx.zero_id))
-        if lam_a != ctx.id_of(b_n):
-            bad.append({"lambda(a)": ctx.render_id(lam_a)})
-        if lam_0 != ctx.id_of(ctx.c[n]):
-            bad.append({"lambda(0)": ctx.render_id(lam_0)})
-        depth = maltsev_depth(sp, (ctx.a_id, ctx.zero_id),
-                              (ctx.id_of(b_n), ctx.id_of(ctx.c[n])),
-                              cap=n + 2, system=ctx.system(),
-                              budget=ctx.budget)
-        if depth != 1:
-            bad.append({"depth": depth, "expected": 1})
-        witnesses.append({"b_prime": ctx.render(raw),
-                          "recursion_trace": [ctx.render_id(e) for e in trace],
-                          "depth": depth})
-    except BudgetExceeded as exc:
-        return _skip("k-collapse", n, exc, t0, sp.size)
+    b_prime = ctx.id_of(ctx.d[n])
+    trace = [b_prime]
+    for k in range(2, n):
+        args = (ctx.id_of(ctx.b[n]), b_prime, ctx.id_of(ctx.d[n - (k - 1)]))
+        try:
+            b_prime = sp.algebra.eval("K", args)
+        except ValueError as exc:
+            return LemmaReport("k-collapse", n, passed=False,
+                               counterexamples=[{"escape": str(exc)}],
+                               stats=_stats(ctx, 0, t0))
+        trace.append(b_prime)
+    raw = sp.elements[b_prime]
+    bar = ctx.algebra.bar_index
+    b_n, c_n = ctx.b[n], ctx.c[n]
+    for i in range(1, n):
+        if raw[i] != bar[b_n[i]]:
+            bad.append({"coordinate": i + 1,
+                        "b_prime": ctx.render(raw)})
+    barred_count = sum(1 for v in raw if bar[v] >= 0
+                       and ctx.algebra.elements[v].barred)
+    if barred_count < 2:
+        bad.append({"structure_item_2_not_violated": ctx.render(raw)})
+    before = len(bad)
+    b_id, c_id = ctx.id_of(b_n), ctx.id_of(c_n)
+    lam_a = sp.algebra.eval("J'", (b_id, b_prime, ctx.a_id))
+    lam_0 = sp.algebra.eval("J'", (b_id, b_prime, ctx.zero_id))
+    if lam_a != b_id:
+        bad.append({"lambda(a)": ctx.render_id(lam_a)})
+    if lam_0 != c_id:
+        bad.append({"lambda(0)": ctx.render_id(lam_0)})
+    # lambda once more, per coordinate on the raw tuples
+    images = [sp.eval_tuple("J'", (b_n, raw, x)) for x in (ctx.a, ctx.zero_tuple)]
+    if images != [b_n, c_n]:
+        bad.append({"lambda_per_coordinate": [ctx.render(v) for v in images]})
+    # lambda maps {a, 0} onto {b_n, c_n}, a layer-1 pair of the pair walk
+    # from {a, 0}: its depth is 1 unless it is trivial or that source pair
+    if b_id == c_id or {b_id, c_id} == {ctx.a_id, ctx.zero_id}:
+        depth = 0
+    else:
+        depth = 1 if len(bad) == before else None
+    if depth != 1:
+        bad.append({"depth": depth, "expected": 1})
+    witnesses = [{"b_prime": ctx.render(raw),
+                  "recursion_trace": [ctx.render_id(e) for e in trace],
+                  "depth": depth}]
     return LemmaReport("k-collapse", n, passed=not bad, witnesses=witnesses,
                        counterexamples=bad, stats=_stats(ctx, 0, t0))
 

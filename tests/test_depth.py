@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from varietal.algebra import Budget, BudgetExceeded, Congruence
+from varietal.algebra import Budget, BudgetExceeded
 from varietal.depth import (
-    congruence_from_pairs,
     maltsev_chain,
     maltsev_depth,
     pair_depth_graph,
@@ -250,30 +249,6 @@ def test_translation_system_is_deterministic(ctx2):
     assert first.steps == second.steps
 
 
-def test_congruence_from_pairs(ctx2):
-    sp = ctx2.subpower
-    system = ctx2.system()
-    assert congruence_from_pairs(sp, [], system=system) == \
-        Congruence.identity(sp.size)
-    single = congruence_from_pairs(sp, [(ctx2.a_id, ctx2.zero_id)],
-                                   system=system)
-    assert single == principal_congruence(sp, ctx2.a_id, ctx2.zero_id,
-                                          system=system)
-
-
-def test_congruence_from_several_pairs_matches_bucket_oracle(ctx3, b3_op_values):
-    sp = ctx3.subpower
-    b3, c3 = ctx3.id_of(ctx3.b[3]), ctx3.id_of(ctx3.c[3])
-    d2, zero = ctx3.id_of(ctx3.d[2]), ctx3.zero_id
-    # the second list repeats a pair reversed and holds a reflexive pair,
-    # so some seeds merge nothing
-    for seeds in ([(1, 2), (5, 9), (12, 3)],
-                  [(b3, c3), (d2, zero), (4, 4), (zero, d2)]):
-        got = congruence_from_pairs(sp, seeds, system=ctx3.system())
-        assert got.labels == oracles.bucket_congruence(sp.size, b3_op_values,
-                                                       seeds), seeds
-
-
 def test_closure_honours_an_expired_deadline(ctx2):
     expired = Budget(deadline=time.monotonic() - 1.0)
     sp, system = ctx2.subpower, ctx2.system()
@@ -281,10 +256,18 @@ def test_closure_honours_an_expired_deadline(ctx2):
         principal_congruence(sp, ctx2.a_id, ctx2.zero_id, system=system,
                              budget=expired)
     assert info.value.what == "max_seconds"
-    with pytest.raises(BudgetExceeded) as info:
-        congruence_from_pairs(sp, [(0, 1), (2, 3)], system=system,
-                              budget=expired)
-    assert info.value.what == "max_seconds"
+
+
+def test_principal_congruence_charges_the_pairs_it_reaches(ctx3):
+    sp, system = ctx3.subpower, ctx3.system()
+    gen = (ctx3.a_id, ctx3.zero_id)
+    assert len(pair_depth_graph(sp, *gen, system=system).depth) == 21
+    with pytest.raises(BudgetExceeded, match="21 > 20") as info:
+        principal_congruence(sp, *gen, system=system, budget=Budget(max_pairs=20))
+    assert info.value.what == "max_pairs"
+    assert principal_congruence(sp, *gen, system=system,
+                                budget=Budget(max_pairs=21)) == \
+        principal_congruence(sp, *gen, system=system)
 
 
 def test_pair_bfs_checks_max_pairs_inside_a_layer(ctx3):

@@ -25,8 +25,7 @@ COMMANDS = {
         "bn build --tm fixtures/halting.tm --with-k --n 2..5",
     "verify_looping_n2-3": "verify --tm fixtures/looping.tm --n 2..3",
     "sd-meet_looping_n2-5": "sd-meet --tm fixtures/looping.tm --n 2..5",
-    "verify-atomic_halting_n4-5":
-        "verify --tm fixtures/halting.tm --n 4..5 --lemma atomic",
+    "verify_halting_n4-5": "verify --tm fixtures/halting.tm --n 4..5",
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from varietal.algebra import Congruence, is_congruence
-from varietal.depth import congruence_from_pairs
 from varietal.lattice import (
     Lattice,
     congruence_lattice,
@@ -65,14 +64,13 @@ def test_con_b3_size(con_b3, b3_op_values):
         assert_compatible(b3_op_values, cong)
 
 
-def test_lattice_joins_match_generated_congruences(ctx3, con_b3):
-    """The lattice joins by equivalence closure; generating from both
-    spanning-pair lists through the translations gives the same result."""
-    system = ctx3.system()
+def test_lattice_joins_match_generated_congruences(ctx3, con_b3, b3_op_values):
+    """The lattice joins by equivalence closure; the oracle's congruence
+    generated by both spanning-pair lists is the same."""
     for theta, psi in product(con_b3, repeat=2):
         seeds = theta.spanning_pairs() + psi.spanning_pairs()
-        assert theta.equiv_join(psi) == congruence_from_pairs(
-            ctx3.subpower, seeds, system=system)
+        assert theta.equiv_join(psi).labels == oracles.bucket_congruence(
+            ctx3.subpower.size, b3_op_values, seeds)
 
 
 def test_congruence_lattices_are_meet_semidistributive(con_b2, con_b3):

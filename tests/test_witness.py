@@ -7,7 +7,8 @@ import pytest
 import oracles
 from varietal import witness
 from varietal.algebra import Budget, TranslationStep
-from varietal.depth import principal_congruence, translation_system
+from varietal.depth import maltsev_depth, principal_congruence, \
+    translation_system
 from varietal.subpower import op_image
 from varietal.witness import (
     LEMMA_ORDER,
@@ -139,6 +140,16 @@ def test_k_collapse_passes(ma2_k, n):
     report = kprime_collapse(ma2_k, n)
     assert report.status == "PASSED", report.counterexamples
     assert report.witnesses[0]["depth"] == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_k_extended_pair_walk_gives_depth_one(ma2_k, n):
+    """k-collapse reads its depth from its certificate; the generic engine
+    over the K-extended translations agrees."""
+    ctx = build_kprime(ma2_k, n)
+    pair = (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))
+    assert maltsev_depth(ctx.subpower, (ctx.a_id, ctx.zero_id), pair,
+                         cap=n + 2, system=ctx.system()) == 1
 
 
 def test_kprime_sizes(ma2_k, kctx3):
