@@ -261,8 +261,16 @@ def _cmd_sd_meet(args) -> int:
     try:
         for n in range(args.n[0], args.n[1] + 1):
             ctx = build_bn(ma, n, budget)
-            congs = congruence_lattice(ctx.subpower, system=ctx.system(),
-                                       budget=budget)
+            try:
+                congs = congruence_lattice(ctx.subpower, system=ctx.system(),
+                                           budget=budget)
+            except ValueError as exc:
+                # a meet outside the generated lattice: a failed check
+                all_ok = False
+                rows.append({"n": n, "universe": ctx.subpower.size,
+                             "congruences": None, "sd_meet": False,
+                             "witness": None, "error": str(exc)})
+                continue
             lat = lattice_of_congruences(congs)
             sd, witness = is_meet_semidistributive(lat)
             all_ok = all_ok and sd

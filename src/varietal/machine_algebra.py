@@ -16,18 +16,20 @@ Canonical element order: 0, then 1, 2, H, then C, D, bC, bD, then cells
 sorted by (state, letter, r, s, barred).  Canonical operation order:
 zero, meet, mul, J, J', S0, S1, S2, T, I, then L families by (state,
 read, t), then R families, then U1_F/U0_F per family in the same order,
-then K when present.  Dense tables back every operation of arity <= 3;
-arities 4 and 5 evaluate by cases.
+then K when present.  Every operation evaluates by its case rules; a
+dense table of an operation of arity <= 3 is filled only when a numpy
+evaluator (vector_evaluator, monotonicity_report) first asks for it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, table_op
+from .algebra import FiniteAlgebra, Operation
 from .tm import TuringMachine
 
 
@@ -130,7 +132,7 @@ class MachineAlgebra:
             el.family == "cell" and el.state == 0 for el in self.elements
         )
 
-        self._tables: dict[str, bytes] = {}
+        self._tables: dict[str, bytes] = {}   # filled by _np_table
         ops = self._build_ops()
         self.algebra = FiniteAlgebra(size=self.size, ops=ops, zero=0)
 
@@ -171,7 +173,6 @@ class MachineAlgebra:
     # -- operations ---------------------------------------------------------
 
     def _build_ops(self) -> tuple[Operation, ...]:
-        size = self.size
         bar = self.bar_index
         one, two, h = self.one, self.two, self.h
         zero = 0
@@ -373,53 +374,7 @@ class MachineAlgebra:
         if self.with_k:
             ops.append(Operation("K", 3, collapse))
 
-        return tuple(self._freeze(op) for op in ops)
-
-    def _freeze(self, op: Operation) -> Operation:
-        """Back arity<=3 operations with dense tables.  Filling iterates
-        only argument regions that can be nonzero; the table is full-size."""
-        size = self.size
-        if op.arity > 3 or op.arity == 0 or size > 255:
-            return op
-        data = bytearray(size ** op.arity)
-
-        def put(args):
-            v = op.func(*args)
-            if v:
-                idx = 0
-                for a in args:
-                    idx = idx * size + a
-                data[idx] = v
-
-        sym = op.symbol
-        if op.arity == 1:
-            for x in range(size):
-                put((x,))
-        elif op.arity == 2:
-            for x in range(size):
-                for y in range(size):
-                    put((x, y))
-        elif sym in ("J", "J'", "K"):
-            # nonzero requires y == x or y == bar(x)
-            for x in range(size):
-                for z in range(size):
-                    put((x, x, z))
-                    if self.bar_index[x] >= 0:
-                        put((x, self.bar_index[x], z))
-        elif sym.startswith(("L[", "R[")):
-            # nonzero requires head markers in the first two arguments
-            for x in (self.one, self.two, self.h):
-                for y in (self.one, self.two, self.h):
-                    for u in range(size):
-                        put((x, y, u))
-        else:
-            for x in range(size):
-                for y in range(size):
-                    for z in range(size):
-                        put((x, y, z))
-        frozen = bytes(data)
-        self._tables[op.symbol] = frozen
-        return table_op(op.symbol, op.arity, size, frozen)
+        return tuple(ops)
 
 
 def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlgebra:
@@ -430,18 +385,36 @@ def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlge
 # bulk evaluation and monotonicity checking
 
 def _np_table(ma: MachineAlgebra, symbol: str) -> np.ndarray:
+    """The dense int64 table of an operation of arity 1 to 3.  It is filled
+    on first request, iterating only argument regions that can be nonzero,
+    and kept row-major in ma._tables."""
     op = ma.algebra.op(symbol)
     if not 1 <= op.arity <= 3:
         raise ValueError(f"{symbol} has arity {op.arity}; dense tables take 1 to 3")
-    shape = (ma.size,) * op.arity
+    size, shape = ma.size, (ma.size,) * op.arity
+    dtype = np.min_scalar_type(size - 1)
     raw = ma._tables.get(symbol)
-    if raw is not None:
-        return np.frombuffer(raw, dtype=np.uint8).astype(np.int64).reshape(shape)
-    out = np.zeros(shape, dtype=np.int64)
-    it = np.nditer(out, flags=["multi_index"], op_flags=["writeonly"])
-    for slot in it:
-        slot[...] = op.func(*it.multi_index)
-    return out
+    if raw is None:
+        if op.arity < 3:
+            cells = product(range(size), repeat=op.arity)
+        elif symbol in ("J", "J'", "K"):
+            # nonzero requires y == x or y == bar(x)
+            cells = ((x, y, z) for x in range(size)
+                     for y in (x, ma.bar_index[x]) if y >= 0
+                     for z in range(size))
+        elif symbol.startswith(("L[", "R[")):
+            # nonzero requires head markers in the first two arguments
+            heads = (ma.one, ma.two, ma.h)
+            cells = product(heads, heads, range(size))
+        else:
+            cells = product(range(size), repeat=3)
+        table, func = np.zeros(shape, dtype=dtype), op.func
+        for args in cells:
+            v = func(*args)
+            if v:
+                table[args] = v
+        raw = ma._tables[symbol] = table.tobytes()
+    return np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(shape)
 
 
 def vector_evaluator(ma: MachineAlgebra, symbol: str):

@@ -11,6 +11,15 @@ order, so each algebra keeps its automata in one cache (its `automata`
 field) keyed by (symbol, alphabet, argument order), shared by every
 closure round, subpower and width over that algebra.
 
+On a small alphabet many operations coincide: on B_n's {0, D, bD} eleven
+of the fifteen non-nullary operations of the halting machine's algebra
+are constant 0.  Each automaton carries a content key (its level shapes
+and bytes, and its final values), and a closure round or a translation
+pass sweeps each key once.  This is exact: equal automata reach equal
+signatures with equal witnesses, so a repeated closure sweep adds no
+image, and a repeated translation sweep adds only maps already in the
+table, each already witnessed earlier in canonical order.
+
 A level step takes each (signature s, element e) cell to delta[s[c], e[c]]
 per coordinate c.  No cells x width block is built: a cell's int64 code
 folds one coordinate at a time in radix (first most significant, so code
@@ -63,6 +72,7 @@ class OpAutomaton:
     alphabet: tuple[int, ...]
     levels: tuple[np.ndarray, ...]   # levels[j]: (states_j, |alphabet|) -> states_{j+1}
     values: np.ndarray               # final state id -> base element
+    key: tuple                       # equal keys: equal levels and values
 
 
 def _build_automaton(op: Operation, alphabet: tuple[int, ...],
@@ -108,8 +118,10 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
         levels_rev.append(np.asarray(delta, dtype=np.int64))
         arr = new_arr
     levels_rev.reverse()
-    return OpAutomaton(arity=k, alphabet=alphabet,
-                       levels=tuple(levels_rev), values=values)
+    key = (tuple(level.shape for level in levels_rev),
+           b"".join(level.tobytes() for level in levels_rev), values.tobytes())
+    return OpAutomaton(arity=k, alphabet=alphabet, levels=tuple(levels_rev),
+                       values=values, key=key)
 
 
 def _automaton(base: FiniteAlgebra, op: Operation, alphabet: tuple[int, ...],
@@ -311,11 +323,15 @@ def close_subpower(base: FiniteAlgebra, width: int,
         alphabet = tuple(sorted({v for t in known for v in t}))
         elem_alpha = np.searchsorted(alphabet, np.asarray(sorted(known)))
         new: set[tuple[int, ...]] = set()
+        swept: set[tuple] = set()
         for op in base.ops:
             if op.arity == 0:
                 new.add((op.func(),) * width)
                 continue
             aut = _automaton(base, op, alphabet)
+            if aut.key in swept:
+                continue
+            swept.add(aut.key)
             sigs, _ = _signatures(aut.levels, elem_alpha, budget)
             new.update(map(tuple, aut.values[sigs].tolist()))
         new -= known
@@ -363,6 +379,7 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     elem_alpha, m = np.searchsorted(alphabet, np.asarray(sp.elements)), len(alphabet)
     cols = np.ascontiguousarray(elem_alpha.T)
     table, buckets, steps = np.zeros((0, n_elems), dtype=np.intp), {}, []
+    swept: set[tuple] = set()
     # fixed, well-mixed weights: a multiply-xorshift hash of the column
     h = np.arange(1, n_elems + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     weights = ((h ^ (h >> np.uint64(29))) * np.uint64(0xBF58476D1CE4E5B9)).view(np.int64)
@@ -373,6 +390,9 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
         for posn in range(k):
             argorder = tuple([p for p in range(k) if p != posn] + [posn])
             aut = _automaton(sp.base, op, letters, argorder)
+            if aut.key in swept:
+                continue
+            swept.add(aut.key)
             sigs, wits = _signatures(aut.levels[:-1], elem_alpha, budget)
             final = aut.levels[-1]
             # image values by alphabet position, m for one outside it; the

@@ -1,7 +1,7 @@
 """Alternate case evaluators, deliberately independent of the package.
 
 These work on element NAMES, not indices, and re-state the case rules
-from scratch.  Used to cross-check the compiled dense tables op by op.
+from scratch.  Used to cross-check the compiled operations op by op.
 """
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from varietal import cli
 from varietal.cli import _exit_code, _parse_range, main
 from varietal.witness import LemmaReport
 from conftest import FIXTURES
@@ -281,6 +282,27 @@ def test_sd_meet_verdicts_survive_optimized_mode():
             for flags in ([], ["-O"])]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_sd_meet_reports_an_escaped_meet(tmp_path, monkeypatch):
+    real = cli.congruence_lattice
+
+    def escaping_at_width_3(target, **kwargs):
+        if target.size == 14:
+            raise ValueError("meet escaped the generated lattice")
+        return real(target, **kwargs)
+
+    monkeypatch.setattr(cli, "congruence_lattice", escaping_at_width_3)
+    out = tmp_path / "sd.json"
+    assert main(["sd-meet", "--tm", HALTING, "--n", "2..3",
+                 "--out", str(out)]) == 1
+    doc = read_doc(out)
+    assert doc["pass"] is False
+    ok, escaped = doc["lattices"]
+    assert ok["sd_meet"] is True and "error" not in ok
+    assert escaped == {"n": 3, "universe": 14, "congruences": None,
+                       "sd_meet": False, "witness": None,
+                       "error": "meet escaped the generated lattice"}
 
 
 def test_sd_meet_needs_target(capsys):

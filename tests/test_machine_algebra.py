@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import altops
+from conftest import FIXTURES
+from varietal import cli
 from varietal.machine_algebra import (
+    _np_table,
     compile_machine,
     monotonicity_report,
     parse_element_name,
@@ -283,6 +286,31 @@ def test_vector_evaluator_matches_scalar(ma2):
         assert np.array_equal(got, expected), op.symbol
 
 
+def test_tables_are_filled_on_demand_by_the_case_rules(ma2, ma2_k, ma3,
+                                                       monkeypatch, capsys):
+    # the fill visits only the argument regions that can be nonzero; no
+    # other reader of the operations checks those regions
+    for ma in (ma2, ma2_k, ma3):
+        for op in ma.algebra.ops:
+            if 1 <= op.arity <= 3:
+                table = _np_table(ma, op.symbol)
+                cells = np.frompyfunc(op.func, op.arity, 1)(*np.indices(table.shape))
+                assert np.array_equal(table, cells.astype(np.int64)), op.symbol
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(compile_machine(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "compile_machine", recording)
+    halting = str(FIXTURES / "halting.tm")
+    for argv in (["depth", "--n", "2..3"], ["sd-meet", "--n", "2..3"],
+                 ["bn", "build", "--with-k", "--n", "2..3"]):
+        assert cli.main([*argv, "--tm", halting]) == 0
+    capsys.readouterr()
+    assert [ma._tables for ma in made] == [{}, {}, {}]
+
+
 def test_monotonicity_report(ma2):
     report = monotonicity_report(ma2, samples=50_000, seed=3)
     assert report["pass"] is True
@@ -296,6 +324,7 @@ def test_monotonicity_report(ma2):
 
 def test_monotonicity_catches_a_violation(halting_tm):
     ma = compile_machine(halting_tm)
+    _np_table(ma, "I")  # tables are filled on demand
     raw = bytearray(ma._tables["I"])
     raw[0] = ma.idx("C")  # f(0) != 0 breaks 0 <= x => f(0) <= f(x)
     ma._tables["I"] = bytes(raw)

@@ -316,11 +316,23 @@ def test_translation_image_escaping_a_non_closed_set_is_named(ma2):
         translation_maps(sp)
 
 
-def test_translation_witnesses_are_the_first_in_canonical_order(ctx2):
+@pytest.fixture(scope="module", params=["halting", "halting-k", "three-state",
+                                        "four-state"])
+def b2(request, ctx2, ma2_k, ma3, four_state_tm):
+    """B_2 subpowers whose translation passes skip coinciding automata; the
+    machines with R moves have more operations that can coincide."""
+    return {"halting": lambda: ctx2,
+            "halting-k": lambda: build_kprime(ma2_k, 2),
+            "three-state": lambda: build_bn(ma3, 2),
+            "four-state": lambda: build_bn(compile_machine(four_state_tm), 2),
+            }[request.param]().subpower
+
+
+def test_translation_witnesses_are_the_first_in_canonical_order(b2):
     # every translation in (operation, position, constants lexicographic)
     # order, by the induced algebra: the first witness of each map wins,
     # and maps are listed in the order their first witnesses come
-    sp = ctx2.subpower
+    sp = b2
     first = {}
     for op in sp.base.ops:
         for pos in range(op.arity):
@@ -333,8 +345,8 @@ def test_translation_witnesses_are_the_first_in_canonical_order(ctx2):
     assert steps == list(first.values())
 
 
-def test_translation_witnesses_reproduce_maps(ctx2):
-    sp = ctx2.subpower
+def test_translation_witnesses_reproduce_maps(b2):
+    sp = b2
     table, steps = translation_maps(sp)
     for mp, step in zip(table.tolist(), steps):
         consts = step.constants
@@ -342,6 +354,31 @@ def test_translation_witnesses_reproduce_maps(ctx2):
         for x in range(sp.size):
             args = consts[:step.position] + (x,) + consts[step.position:]
             assert sp.algebra.eval(step.op, args) == mp[x]
+
+
+def test_equal_automata_are_swept_once_per_pass(monkeypatch, ma2, ctx3):
+    # on {0, D, bD} eleven of the fifteen non-nullary operations are
+    # constant 0, so most automata of a closure round or a translation
+    # pass are copies of one swept before
+    sweeps, rounds = [], []
+    sweep, automaton = subpower._signatures, subpower._automaton
+
+    def counted_sweep(*args):
+        sweeps.append(args[0])
+        return sweep(*args)
+
+    def counted_automaton(base, op, *args):
+        if op.symbol == "meet" and len(args) == 1:  # once a closure round
+            rounds.append(op)
+        return automaton(base, op, *args)
+
+    monkeypatch.setattr(subpower, "_signatures", counted_sweep)
+    monkeypatch.setattr(subpower, "_automaton", counted_automaton)
+    build_bn(ma2, 3)
+    assert len(rounds) == 3 and len(sweeps) == 8 * 3
+    sweeps.clear()
+    translation_maps(ctx3.subpower)
+    assert len(sweeps) == 14
 
 
 def test_automaton_respects_argorder():
