@@ -9,13 +9,14 @@ identical arguments give byte-identical documents; verify only echoes
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error, 3 all passed but some were skipped on budget.  The
 environment variable VARIETAL_BUDGET_SECONDS imposes a global wall-clock
-cap.
+cap; a value that is not a number, or is NaN, is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -45,11 +46,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _budget_seconds() -> float | None:
+    """VARIETAL_BUDGET_SECONDS in seconds, None when unset, NaN when it is
+    not a number (a deadline of NaN would never fire)."""
+    env = os.environ.get("VARIETAL_BUDGET_SECONDS")
+    if not env:
+        return None
+    try:
+        return float(env)
+    except ValueError:
+        return math.nan
+
+
 def _budget(args) -> Budget:
     deadline = None
-    env = os.environ.get("VARIETAL_BUDGET_SECONDS")
-    if env:
-        deadline = time.monotonic() + float(env)
+    if args.budget_seconds is not None:
+        deadline = time.monotonic() + args.budget_seconds
     return Budget(max_elements=args.max_elements, max_pairs=args.max_pairs,
                   deadline=deadline)
 
@@ -293,6 +305,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.budget_seconds = _budget_seconds()
+    if args.budget_seconds is not None and math.isnan(args.budget_seconds):
+        print("error: VARIETAL_BUDGET_SECONDS must be a number of seconds, not "
+              f"{os.environ['VARIETAL_BUDGET_SECONDS']!r}", file=sys.stderr)
+        return 2
     try:
         if args.command == "tm":
             return _cmd_tm_run(args)

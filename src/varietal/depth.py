@@ -41,8 +41,10 @@ from .subpower import Subpower, _distinct, translation_maps
 @dataclass(eq=False)
 class TranslationSystem:
     """Deduped unary translation maps with canonical witnesses: row i of
-    the C-contiguous intp (maps x universe) table is the map that steps[i]
-    witnesses, so label[table[:, x]] gathers the images of x at once."""
+    the C-contiguous (maps x universe) table is the map that steps[i]
+    witnesses, so label[table[:, x]] gathers the images of x at once.  The
+    table holds element ids in the narrowest unsigned dtype for the
+    universe, so arithmetic on them widens first."""
 
     table: np.ndarray
     steps: list[TranslationStep]
@@ -77,7 +79,7 @@ def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
         found = [seen[:0]]
         for lo in range(0, len(xs), step):
             p, q = table[:, xs[lo:lo + step]], table[:, ys[lo:lo + step]]
-            codes = np.minimum(p, q)
+            codes = np.minimum(p, q, dtype=np.int64)
             codes *= size
             codes += np.maximum(p, q, out=p)
             found.append(_distinct(codes))
@@ -133,7 +135,8 @@ def _pair_graph(table: np.ndarray, pairs: np.ndarray,
     maps pair i onto pair j: ranked per first element in blocks of at most
     max_signatures cells, deduped as codes i * (P + 1) + j (rank P: x = y)."""
     count = len(pairs)
-    rank = np.full((table.shape[1],) * 2, -1, dtype=np.intp)
+    # int32 ranks: fewer than 2**31 pairs for any N x N rank that fits memory
+    rank = np.full((table.shape[1],) * 2, -1, dtype=np.int32)
     rank[pairs[:, 0], pairs[:, 1]] = rank[pairs[:, 1], pairs[:, 0]] = np.arange(count)
     np.fill_diagonal(rank, count)
     step = max(1, budget.max_signatures // max(1, len(table)))
@@ -143,12 +146,12 @@ def _pair_graph(table: np.ndarray, pairs: np.ndarray,
         for src in (group[lo:lo + step] for lo in range(0, len(group), step)):
             budget.check_time()
             ys = pairs[src, 1]
-            dst = rank.take(table[:, x, None] * len(rank) + table[:, ys])
+            dst = rank.take(table[:, x, None].astype(np.intp) * len(rank) + table[:, ys])
             if (dst < 0).any():
                 m, j = np.unravel_index(np.argmax(dst < 0), dst.shape)
                 raise ValueError(f"image {table[m, [x, ys[j]]].tolist()} of pair "
                                  f"{pairs[src[j]].tolist()} is not a listed pair")
-            dst += src * (count + 1)
+            dst = dst + src * (count + 1)
             src, dst = np.divmod(codes := _distinct(dst), count + 1)
             edges.append(codes[(dst != count) & (dst != src)])
             budget.check_pairs(links := links + len(edges[-1]))

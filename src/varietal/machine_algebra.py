@@ -385,9 +385,10 @@ def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlge
 # bulk evaluation and monotonicity checking
 
 def _np_table(ma: MachineAlgebra, symbol: str) -> np.ndarray:
-    """The dense int64 table of an operation of arity 1 to 3.  It is filled
-    on first request, iterating only argument regions that can be nonzero,
-    and kept row-major in ma._tables."""
+    """The dense table of an operation of arity 1 to 3, in the narrowest
+    unsigned dtype for the universe.  It is filled on first request,
+    iterating only argument regions that can be nonzero, and kept row-major
+    in ma._tables; the array returned is a read-only view of it."""
     op = ma.algebra.op(symbol)
     if not 1 <= op.arity <= 3:
         raise ValueError(f"{symbol} has arity {op.arity}; dense tables take 1 to 3")
@@ -414,7 +415,7 @@ def _np_table(ma: MachineAlgebra, symbol: str) -> np.ndarray:
             if v:
                 table[args] = v
         raw = ma._tables[symbol] = table.tobytes()
-    return np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(shape)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def vector_evaluator(ma: MachineAlgebra, symbol: str):

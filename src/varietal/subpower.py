@@ -21,13 +21,13 @@ image, and a repeated translation sweep adds only maps already in the
 table, each already witnessed earlier in canonical order.
 
 A level step takes each (signature s, element e) cell to delta[s[c], e[c]]
-per coordinate c.  No cells x width block is built: a cell's int64 code
-folds one coordinate at a time in radix (first most significant, so code
-order is row order); where a multiply would pass a cap, partial codes are
+per coordinate c.  No cells x width block is built: a cell's code folds
+one coordinate at a time in radix (first most significant, so code order
+is row order); where a multiply would pass a cap, partial codes are
 replaced by their ranks among all cells, found in one more pass.  Signature
 codes are deduped without sorting: every code lies below a span of at most
 Budget.max_signatures (the cap; past it the codes are re-ranked, and a
-level with more signatures than the cap is a budget skip), and one int64
+level with more signatures than the cap is a budget skip), and one
 first-occurrence table of span entries, charged before it is allocated,
 keeps each code's least flat cell index (np.minimum.at).  The entries that
 were reached, sorted, are the first cells of the distinct signatures in
@@ -38,6 +38,15 @@ block.  A translation image is coded by the alphabet positions of its
 values (capped only by int64), so np.searchsorted on the sorted elements'
 codes gives its element id.
 
+Every integer array is as narrow as its range allows.  Automaton levels
+hold next-level state ids in the smallest unsigned dtype (uint8 in
+practice).  Signature codes are int32 when the cap times the radix stays
+below 2**31; the first-occurrence table and its cell indices are int32
+below 2**31 cells, one dtype for both, as np.minimum.at is slow on mixed
+ones.  Translation images keep int64 codes.  The translation table holds
+element ids in the smallest unsigned dtype for the universe, so its
+readers widen them before any arithmetic.
+
 Enumeration order is canonical everywhere: operations in declared order,
 argument positions ascending, constants in lexicographic element order;
 the first witness reaching a signature is kept, so reported translation
@@ -47,7 +56,7 @@ witnesses are lexicographically least.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,6 +73,8 @@ from .algebra import (
 # alphabet**arity words are enumerated once per (operation, alphabet);
 # beyond this the automaton build itself would be the bottleneck.
 _MAX_WORDS = 2_000_000
+# words evaluated between two deadline checks of an automaton build
+_WORDS_PER_CHECK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,8 @@ class OpAutomaton:
 
 
 def _build_automaton(op: Operation, alphabet: tuple[int, ...],
-                     argorder: tuple[int, ...] | None = None) -> OpAutomaton:
+                     argorder: tuple[int, ...] | None = None,
+                     budget: Budget = DEFAULT_BUDGET) -> OpAutomaton:
     k = op.arity
     m = len(alphabet)
     if k == 0:
@@ -87,10 +99,13 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
     func = op.func
     args = [0] * k
     evals: list[int] = []
-    for word in product(alphabet, repeat=k):
-        for i, pos in enumerate(order):
-            args[pos] = word[i]
-        evals.append(func(*args))
+    words = product(alphabet, repeat=k)
+    for _ in range(0, m ** k, _WORDS_PER_CHECK):
+        budget.check_time()
+        for word in islice(words, _WORDS_PER_CHECK):
+            for i, pos in enumerate(order):
+                args[pos] = word[i]
+            evals.append(func(*args))
 
     ids: dict[int, int] = {}
     arr: list[int] = []
@@ -102,7 +117,9 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
         arr.append(cid)
     values = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
 
+    # each level holds next-level state ids in the narrowest dtype for them
     levels_rev: list[np.ndarray] = []
+    states = len(ids)
     for j in range(k - 1, -1, -1):
         rows: dict[tuple[int, ...], int] = {}
         delta: list[tuple[int, ...]] = []
@@ -115,8 +132,8 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
                 rows[sig] = cid
                 delta.append(sig)
             new_arr.append(cid)
-        levels_rev.append(np.asarray(delta, dtype=np.int64))
-        arr = new_arr
+        levels_rev.append(np.asarray(delta, dtype=np.min_scalar_type(states - 1)))
+        arr, states = new_arr, len(rows)
     levels_rev.reverse()
     key = (tuple(level.shape for level in levels_rev),
            b"".join(level.tobytes() for level in levels_rev), values.tobytes())
@@ -125,14 +142,15 @@ def _build_automaton(op: Operation, alphabet: tuple[int, ...],
 
 
 def _automaton(base: FiniteAlgebra, op: Operation, alphabet: tuple[int, ...],
-               argorder: tuple[int, ...] | None = None) -> OpAutomaton:
+               argorder: tuple[int, ...] | None = None, *,
+               budget: Budget = DEFAULT_BUDGET) -> OpAutomaton:
     """The automaton of base's operation op over alphabet, built once per
     (symbol, alphabet, argument order) and kept in base.automata."""
     key = (op.symbol, alphabet,
            tuple(range(op.arity)) if argorder is None else argorder)
     aut = base.automata.get(key)
     if aut is None:
-        aut = base.automata[key] = _build_automaton(op, alphabet, key[2])
+        aut = base.automata[key] = _build_automaton(op, alphabet, key[2], budget)
     return aut
 
 
@@ -219,13 +237,17 @@ def _row_codes(blocks, width: int, radix: int, budget: Budget,
     cap unless the rows have more distinct codes than cap; the fold and
     its re-ranking are described in the module docstring."""
     limit = min(cap, _INT64_MAX)
+    # a code lies below limit, or below radix times a rank table's length,
+    # which is charged to the budget
+    bound = max(limit, budget.max_signatures) * radix
+    dtype = np.int32 if bound < 2 ** 31 else np.int64
     ranks: dict[int, np.ndarray] = {}
 
     def fold(column, upto: int) -> np.ndarray:
-        codes = column(0).astype(np.int64)
+        codes = column(0).astype(dtype)
         for c in range(1, upto + 1):
             if c in ranks:
-                codes = np.searchsorted(ranks[c], codes)
+                codes = np.searchsorted(ranks[c], codes).astype(dtype, copy=False)
             if c < upto:
                 codes *= radix
                 codes += column(c)
@@ -233,7 +255,7 @@ def _row_codes(blocks, width: int, radix: int, budget: Budget,
 
     def rank(upto: int) -> int:
         # ranks[upto]: the distinct codes of the first upto coordinates
-        table = np.zeros(0, dtype=np.int64)
+        table = np.zeros(0, dtype=dtype)
         for _, column in blocks():
             table = _distinct(np.concatenate([table, fold(column, upto).ravel()]))
             budget.check_signatures(len(table))
@@ -259,7 +281,7 @@ def _blocks(table: np.ndarray, sigs: np.ndarray, cols: np.ndarray,
     for lo in range(0, len(sigs), step):
         budget.check_time()
         rows = np.ascontiguousarray(sigs[lo:lo + step].T)
-        yield lo, lambda c, rows=rows: table[rows[c]][:, cols[c]]
+        yield lo, lambda c, rows=rows: table[rows[c]].take(cols[c], axis=1)
 
 
 def _signatures(levels, elem_alpha: np.ndarray,
@@ -279,10 +301,14 @@ def _signatures(levels, elem_alpha: np.ndarray,
             # least[code]: the least flat cell index with that code, or cells
             cells = len(sigs) * n_elems
             budget.check_signatures(span)
-            least = np.full(span, cells, dtype=np.int64)
+            # one dtype for the table and the cell indices: np.minimum.at
+            # takes a slow casting path on mixed ones
+            dtype = np.int32 if cells < 2 ** 31 else np.int64
+            least = np.full(span, cells, dtype=dtype)
             for lo, block in coded:
                 np.minimum.at(least, block.ravel(),
-                              np.arange(lo * n_elems, lo * n_elems + block.size))
+                              np.arange(lo * n_elems, lo * n_elems + block.size,
+                                        dtype=dtype))
             first = np.sort(least[least < cells])
         s, e = np.divmod(first, n_elems)
         sigs = delta[sigs[s], elem_alpha[e]]
@@ -296,7 +322,7 @@ def op_image(sp: Subpower, symbol: str,
     op = sp.base.op(symbol)
     if op.arity == 0:
         return {(op.func(),) * sp.width}
-    aut = _automaton(sp.base, op, sp.coordinate_alphabet())
+    aut = _automaton(sp.base, op, sp.coordinate_alphabet(), budget=budget)
     sigs, _ = _signatures(aut.levels, np.searchsorted(aut.alphabet, np.asarray(sp.elements)),
                           budget)
     return set(map(tuple, aut.values[sigs].tolist()))
@@ -328,7 +354,7 @@ def close_subpower(base: FiniteAlgebra, width: int,
             if op.arity == 0:
                 new.add((op.func(),) * width)
                 continue
-            aut = _automaton(base, op, alphabet)
+            aut = _automaton(base, op, alphabet, budget=budget)
             if aut.key in swept:
                 continue
             swept.add(aut.key)
@@ -364,7 +390,9 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET
                      ) -> tuple[np.ndarray, list[TranslationStep]]:
     """All distinct unary translation maps on the subpower, as the rows of
-    one C-contiguous intp (maps x universe) table, with canonical witnesses.
+    one C-contiguous (maps x universe) table, with canonical witnesses.  The
+    table holds element ids in the narrowest unsigned dtype for the universe
+    (uint8 up to 256 elements, uint16 up to 65536): widen before arithmetic.
 
     A translation fixes every argument of one operation except one with
     constants drawn from the subpower.  Maps are deduped; the witness kept
@@ -378,7 +406,8 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     alphabet = np.asarray(letters, dtype=np.int64)
     elem_alpha, m = np.searchsorted(alphabet, np.asarray(sp.elements)), len(alphabet)
     cols = np.ascontiguousarray(elem_alpha.T)
-    table, buckets, steps = np.zeros((0, n_elems), dtype=np.intp), {}, []
+    table = np.zeros((0, n_elems), dtype=np.min_scalar_type(n_elems - 1))
+    buckets, steps = {}, []
     swept: set[tuple] = set()
     # fixed, well-mixed weights: a multiply-xorshift hash of the column
     h = np.arange(1, n_elems + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -389,7 +418,7 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
         k = op.arity
         for posn in range(k):
             argorder = tuple([p for p in range(k) if p != posn] + [posn])
-            aut = _automaton(sp.base, op, letters, argorder)
+            aut = _automaton(sp.base, op, letters, argorder, budget=budget)
             if aut.key in swept:
                 continue
             swept.add(aut.key)
@@ -399,6 +428,7 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
             # elements are coded first, so they share the ranks
             pos = np.searchsorted(alphabet, aut.values)
             pos[alphabet[np.minimum(pos, m - 1)] != aut.values] = m
+            pos = pos.astype(np.min_scalar_type(m))
             _, coded = _row_codes(lambda: chain([(0, cols.__getitem__)],
                                                 _blocks(pos[final], sigs, cols, budget)),
                                   width, m + 1, budget)
@@ -411,7 +441,7 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                     t = tuple(aut.values[final[sigs[lo + s], elem_alpha[e]]].tolist())
                     raise ValueError(f"translation image {t} of {op.symbol} "
                                      "escapes the subuniverse")
-                fresh = _append_fresh(table, buckets, ids, weights)
+                fresh = _append_fresh(table, buckets, ids.astype(table.dtype), weights)
                 steps += [TranslationStep(op.symbol, posn, tuple(w))
                           for w in wits[lo + fresh].tolist()]
                 budget.check_signatures(len(table))

@@ -187,6 +187,19 @@ def test_verify_seed_changes_nothing_but_its_echo(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_budget_seconds_that_are_not_a_number_are_a_usage_error(value, capsys,
+                                                                monkeypatch):
+    """A NaN deadline would never fire, as every comparison with NaN is
+    false; so it is rejected like a value that is not a number."""
+    monkeypatch.setenv("VARIETAL_BUDGET_SECONDS", value)
+    assert main(["depth", "--tm", HALTING, "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "VARIETAL_BUDGET_SECONDS" in err
+    assert repr(value) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2..3"],
     ["depth", "--n", "2..5"],

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from varietal.algebra import Budget, BudgetExceeded
 from varietal.depth import (
+    _pair_bfs,
     maltsev_chain,
     maltsev_depth,
     pair_depth_graph,
@@ -287,3 +288,31 @@ def test_pair_depth_graph_json(ctx2):
     keys = [(p["x"], p["y"]) for p in doc["pairs"]]
     assert keys == sorted(keys)
     assert all(set(p) == {"x", "y", "depth"} for p in doc["pairs"])
+
+
+@pytest.mark.parametrize("size", [250, 255, 256, 257, 300])
+def test_narrow_tables_walk_like_intp_tables(size):
+    """Translation tables hold element ids in the narrowest unsigned dtype
+    (uint8 up to 256 elements, uint16 past it); pair codes such as
+    x * size + y must not wrap at that width."""
+    rng = np.random.default_rng(size)
+    x, blocks = np.arange(size), (size + 3) // 4
+    # maps taking each block x // 4 into one block, the last block first,
+    # so the pairs inside blocks are closed under them
+    into = rng.integers(0, blocks, size=(3, blocks))
+    into[:, 0] = blocks - 1
+    closed = np.minimum(into[:, x // 4] * 4 + rng.integers(0, 4, size=(3, 4))[:, x % 4],
+                        size - 1)
+    wide = np.concatenate([closed, rng.integers(0, size, size=(2, size)),
+                           (size - 1 - x)[None]])
+    narrow = wide.astype(np.min_scalar_type(size - 1))
+    assert narrow.dtype == (np.uint8 if size <= 256 else np.uint16)
+    assert narrow.max() == size - 1
+    for a, b in [(0, size - 1), (size - 2, size - 1), (249, size - 3)]:
+        for cap in (None, 2):
+            assert _pair_bfs(narrow, a, b, cap, Budget()) == \
+                _pair_bfs(wide, a, b, cap, Budget())
+    pairs = [(u, v) for u, v in combinations(range(size), 2) if u // 4 == v // 4]
+    got, want = (principal_congruences(None, pairs, system=TranslationSystem(t[:3], []))
+                 for t in (narrow, wide))
+    assert [c.labels for c in got] == [c.labels for c in want]

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from varietal.algebra import Budget, BudgetExceeded, Operation, TranslationStep
+from varietal.algebra import (
+    DEFAULT_BUDGET, Budget, BudgetExceeded, Operation, TranslationStep)
 from varietal import build_bn, build_kprime, compile_machine, subpower
 from varietal.subpower import (
     Subpower,
+    _automaton,
     _build_automaton,
     _row_codes,
     _signatures,
@@ -44,31 +46,51 @@ def test_k_closure_matches_naive_oracle(ma2_k, n):
 @st.composite
 def coded_rows(draw):
     """Row matrices over [0, radix) with radix from 1 to 2**56, so radix **
-    width runs past 2**63 and the re-ranking runs, plus a block split."""
+    width runs past 2**63 and the re-ranking runs, plus a block split and
+    a code cap: none (int64 codes), or one below 2**31, which re-ranks
+    codes past it and gives int32 codes while the cap, or the budget's
+    larger max_signatures, times radix stays below 2**31."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 8)))
-    radix = draw(st.sampled_from([1, 2, 6, 255, 2 ** 20, 2 ** 40, 2 ** 56]))
+    radix = draw(st.sampled_from([1, 2, 6, 255, 1024, 2 ** 20, 2 ** 40, 2 ** 56]))
     rows = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, radix - 1)))
-    return rows, radix, draw(st.integers(1, shape[0]))
+    cap = draw(st.sampled_from([None, 1, 7, 2 ** 10, 2 ** 20, 2 ** 21 - 1, 2 ** 30]))
+    return rows, radix, draw(st.integers(1, shape[0])), cap
 
 
 @settings(max_examples=300, deadline=None)
 @given(coded_rows())
-@example((np.array([[2, 0, 7]], dtype=np.int64), 8, 1))
-@example((np.array([[2], [0], [2], [5]], dtype=np.int64), 6, 3))
+@example((np.array([[2, 0, 7]], dtype=np.int64), 8, 1, None))
+@example((np.array([[2], [0], [2], [5]], dtype=np.int64), 6, 3, None))
 @example((np.array([[2 ** 40, 5], [0, 2 ** 40], [2 ** 40, 1]], dtype=np.int64),
-          2 ** 40 + 1, 2))
+          2 ** 40 + 1, 2, None))
 @example((np.array([[2 ** 56, 0, 0], [0, 2 ** 56, 1], [0, 2 ** 56, 0]],
-                   dtype=np.int64), 2 ** 56 + 1, 1))
+                   dtype=np.int64), 2 ** 56 + 1, 1, None))
+# int32 codes at the cap: 1024 ** 2 codes fit a cap of 2 ** 20 exactly, and
+# one less re-ranks the first column; 2 ** 21 - 1 is the largest cap with
+# int32 codes at radix 1024, and three columns re-rank under it
+@example((np.array([[1023, 1023], [0, 0], [1023, 1022], [1023, 1023]],
+                   dtype=np.int64), 1024, 3, 2 ** 20))
+@example((np.array([[1023, 1023], [0, 0], [1023, 1022], [1023, 1023]],
+                   dtype=np.int64), 1024, 3, 2 ** 20 - 1))
+@example((np.array([[1023, 1023, 1023], [1023, 1023, 1022], [0, 1023, 1023]],
+                   dtype=np.int64), 1024, 2, 2 ** 21 - 1))
 def test_row_codes_sort_and_dedupe_like_rows(case):
-    rows, radix, step = case
+    rows, radix, step, cap = case
 
     def blocks():
         for lo in range(0, len(rows), step):
             yield lo, lambda c, lo=lo: rows[lo:lo + step, c]
 
-    _, coded = _row_codes(blocks, rows.shape[1], radix, Budget())
+    budget = Budget()
+    if cap is None:
+        _, coded = _row_codes(blocks, rows.shape[1], radix, budget)
+    else:
+        _, coded = _row_codes(blocks, rows.shape[1], radix, budget, cap)
     codes = np.concatenate([block for _, block in coded])
-    assert codes.dtype == np.int64 and codes.shape == (len(rows),)
+    # past a re-ranking, codes stay below radix times a length the budget caps
+    narrow = cap is not None and max(cap, budget.max_signatures) * radix < 2 ** 31
+    assert codes.dtype == (np.int32 if narrow else np.int64)
+    assert codes.shape == (len(rows),)
     got = np.unique(codes, return_index=True)[1]
     want = np.unique(rows, axis=0, return_index=True)[1]
     assert got.tolist() == want.tolist()
@@ -115,7 +137,7 @@ def map_rows(table):
 def test_translation_maps_match_oracle_full(ctx2):
     sp = ctx2.subpower
     table, steps = translation_maps(sp)
-    assert table.dtype == np.intp and table.flags.c_contiguous
+    assert table.dtype == np.min_scalar_type(sp.size - 1) and table.flags.c_contiguous
     assert table.shape == (len(steps), sp.size)
     assert len(set(map_rows(table))) == len(steps)
     assert set(map_rows(table)) == oracles.subpower_translation_maps(sp)
@@ -281,9 +303,9 @@ def test_automata_are_built_once_per_algebra(monkeypatch, halting_tm):
     built = []
     build = subpower._build_automaton
 
-    def counted(op, alphabet, argorder=None):
+    def counted(op, alphabet, argorder=None, budget=DEFAULT_BUDGET):
         built.append((op.symbol, alphabet, argorder))
-        return build(op, alphabet, argorder)
+        return build(op, alphabet, argorder, budget)
 
     monkeypatch.setattr(subpower, "_build_automaton", counted)
     ma = compile_machine(halting_tm)
@@ -299,6 +321,19 @@ def test_automata_are_built_once_per_algebra(monkeypatch, halting_tm):
     build_kprime(ma_k, 3).system()
     assert len(built) == len(set(built)) == len(ma_k.algebra.automata)
     assert plain & set(built)
+
+
+def test_automaton_build_honours_an_expired_deadline(ctx3):
+    # 14 ** 5 words of an arity-5 operation of B_3's induced algebra, each
+    # evaluated in Python: the build checks the deadline between chunks
+    alg = ctx3.subpower.algebra
+    op = next(op for op in alg.ops if op.arity == 5)
+    alphabet = tuple(range(alg.size))
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExceeded) as info:
+        _automaton(alg, op, alphabet, budget=expired)
+    assert info.value.what == "max_seconds"
+    assert (op.symbol, alphabet, tuple(range(5))) not in alg.automata
 
 
 def test_translation_maps_honour_an_expired_deadline(ctx2):
@@ -367,10 +402,10 @@ def test_equal_automata_are_swept_once_per_pass(monkeypatch, ma2, ctx3):
         sweeps.append(args[0])
         return sweep(*args)
 
-    def counted_automaton(base, op, *args):
+    def counted_automaton(base, op, *args, **kwargs):
         if op.symbol == "meet" and len(args) == 1:  # once a closure round
             rounds.append(op)
-        return automaton(base, op, *args)
+        return automaton(base, op, *args, **kwargs)
 
     monkeypatch.setattr(subpower, "_signatures", counted_sweep)
     monkeypatch.setattr(subpower, "_automaton", counted_automaton)
