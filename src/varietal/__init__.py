@@ -5,9 +5,9 @@ meet-semidistributivity)."""
 
 from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
     FiniteAlgebra, Operation, TranslationStep, is_congruence, table_op
-from .depth import PairDepthGraph, TranslationSystem, maltsev_chain, \
-    maltsev_depth, pair_depth_graph, principal_congruence, \
-    principal_congruences, translation_system
+from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
+    pair_depth_graph, principal_congruence, principal_congruences, \
+    translation_system
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import Element, MachineAlgebra, compile_machine, \
@@ -15,8 +15,8 @@ from .machine_algebra import Element, MachineAlgebra, compile_machine, \
 from .subpower import Subpower, close_subpower, op_image, translation_maps
 from .tm import Configuration, Instruction, RunOutcome, TMError, \
     TuringMachine, load_tm, machine, parse_tm, run_bounded
-from .witness import BnContext, LEMMA_ORDER, LemmaReport, bn_maltsev_depth, \
-    build_bn, build_kprime, explicit_chain_polynomial, kprime_collapse, \
+from .witness import BnContext, LEMMA_ORDER, LemmaReport, build_bn, \
+    build_kprime, explicit_chain_polynomial, kprime_collapse, \
     run_lemma, verify_atomicity, verify_bn_structure, verify_chain, \
     verify_depth, verify_f_characterization, verify_nonzero_ops, \
     verify_omission_all, verify_subalgebra_omission, verify_support_growth, \

@@ -58,12 +58,13 @@ def _budget_seconds() -> float | None:
         return math.nan
 
 
-def _budget(args) -> Budget:
-    deadline = None
-    if args.budget_seconds is not None:
-        deadline = time.monotonic() + args.budget_seconds
-    return Budget(max_elements=args.max_elements, max_pairs=args.max_pairs,
-                  deadline=deadline)
+def _budget(args, seconds: float | None) -> Budget:
+    """The one budget of a run: the command's caps where it takes them, and
+    a deadline `seconds` from now."""
+    caps = {k: v for k, v in vars(args).items()
+            if k in ("max_elements", "max_pairs")}
+    deadline = None if seconds is None else time.monotonic() + seconds
+    return Budget(deadline=deadline, **caps)
 
 
 def _emit(doc: dict, out: str | None):
@@ -143,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 
-def _cmd_tm_run(args) -> int:
+def _cmd_tm_run(args, budget: Budget) -> int:
     tm = load_tm(args.file)
-    outcome = run_bounded(tm, args.max_steps)
+    outcome = run_bounded(tm, args.max_steps, budget)
     if outcome.halted:
         line = f"HALTED({outcome.steps})"
         if outcome.stalled:
@@ -161,9 +162,10 @@ def _cmd_tm_run(args) -> int:
     return 0
 
 
-def _cmd_algebra_build(args) -> int:
+def _cmd_algebra_build(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm, with_k=args.with_k)
+    budget.check_time()
     doc = {"schema": SCHEMA, "command": "algebra build", "tm": args.tm,
            "with_k": args.with_k, "states": list(tm.states),
            "size": ma.size,
@@ -173,10 +175,9 @@ def _cmd_algebra_build(args) -> int:
     return 0
 
 
-def _cmd_bn_build(args) -> int:
+def _cmd_bn_build(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm, with_k=args.with_k)
-    budget = _budget(args)
     rows = []
     try:
         for n in range(args.n[0], args.n[1] + 1):
@@ -216,12 +217,12 @@ def _run_width(ma, n: int, lemmas, budget: Budget):
     return reports
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
     lemmas = [args.lemma] if args.lemma else list(LEMMA_ORDER)
     reports = [r for n in range(args.n[0], args.n[1] + 1)
-               for r in _run_width(ma, n, lemmas, _budget(args))]
+               for r in _run_width(ma, n, lemmas, budget)]
     doc = {"schema": SCHEMA, "command": "verify", "tm": args.tm,
            "n_range": [args.n[0], args.n[1]], "seed": args.seed,
            "pass": all(r.status != "FAILED" for r in reports),
@@ -231,10 +232,9 @@ def _cmd_verify(args) -> int:
     return _exit_code(reports)
 
 
-def _cmd_depth(args) -> int:
+def _cmd_depth(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    budget = _budget(args)
     reports = []
     for n in range(args.n[0], args.n[1] + 1):
         try:
@@ -252,7 +252,7 @@ def _cmd_depth(args) -> int:
     return _exit_code(reports)
 
 
-def _cmd_sd_meet(args) -> int:
+def _cmd_sd_meet(args, budget: Budget) -> int:
     if args.fixture == "m3":
         lat = m3_lattice()
         sd, witness = is_meet_semidistributive(lat)
@@ -267,7 +267,6 @@ def _cmd_sd_meet(args) -> int:
         return 2
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    budget = _budget(args)
     rows = []
     all_ok = True
     try:
@@ -305,24 +304,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.budget_seconds = _budget_seconds()
-    if args.budget_seconds is not None and math.isnan(args.budget_seconds):
+    seconds = _budget_seconds()
+    if seconds is not None and math.isnan(seconds):
         print("error: VARIETAL_BUDGET_SECONDS must be a number of seconds, not "
               f"{os.environ['VARIETAL_BUDGET_SECONDS']!r}", file=sys.stderr)
         return 2
+    budget = _budget(args, seconds)
     try:
         if args.command == "tm":
-            return _cmd_tm_run(args)
+            return _cmd_tm_run(args, budget)
         if args.command == "algebra":
-            return _cmd_algebra_build(args)
+            return _cmd_algebra_build(args, budget)
         if args.command == "bn":
-            return _cmd_bn_build(args)
+            return _cmd_bn_build(args, budget)
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, budget)
         if args.command == "depth":
-            return _cmd_depth(args)
+            return _cmd_depth(args, budget)
         if args.command == "sd-meet":
-            return _cmd_sd_meet(args)
+            return _cmd_sd_meet(args, budget)
     except (TMError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

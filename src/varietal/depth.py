@@ -7,12 +7,13 @@ layered graph on unordered pairs (layer 0 is {a,b}, layer d+1 holds unseen
 images of layer-d pairs).  By Mal'cev's lemma Cg(a,b) is the equivalence
 generated by the reached pairs, so one walk serves Cg(a,b), depth and
 f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by a path of
-reached pairs, and the least M such that some path uses only pairs of
-depth <= M is the chain depth of (c,d) (a minimax path weight).  The
-all-pairs job takes one pass over the pair graph (each pair to its
-images): a strongly connected component's pairs share their Cg, and
-Tarjan's components, finished sinks first, each join their successors'
-Cg and their own pairs.
+reached pairs.  The chain depth of (c,d) is the least M such that some
+such path uses only pairs of depth <= M (a minimax path weight); as the
+layers only add pairs, it is the first layer M whose pairs of depth <= M
+generate an equivalence relating c and d.  The all-pairs job takes one
+pass over the pair graph (each pair to its images): a strongly connected
+component's pairs share their Cg, and Tarjan's components, finished
+sinks first, each join their successors' Cg and their own pairs.
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -22,7 +23,6 @@ reports are reproducible.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -97,27 +97,36 @@ def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
 @dataclass(eq=False)
 class PairDepthGraph:
     """Minimum translation counts for every unordered pair reached from
-    the source pair within the cap (cap=None: to the fixed point)."""
+    the source pair within the cap (cap=None: to the fixed point), on a
+    universe of `size` elements."""
 
     source: tuple[int, int]
     cap: int | None
+    size: int
     depth: dict[tuple[int, int], int]
-
-    def to_json(self) -> dict:
-        pairs = [
-            {"x": x, "y": y, "depth": d}
-            for (x, y), d in sorted(self.depth.items())
-        ]
-        return {"source": list(self.source), "cap": self.cap, "pairs": pairs}
 
 
 def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
                      system: TranslationSystem | None = None,
-                     symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
-    sys_ = system if system is not None else translation_system(target, symbols, budget)
-    depth = _pair_bfs(sys_.table, a, b, cap, budget)
-    return PairDepthGraph(source=(a, b), cap=cap, depth=depth)
+    system = system or translation_system(target, None, budget)
+    return PairDepthGraph(source=(a, b), cap=cap, size=system.table.shape[1],
+                          depth=_pair_bfs(system.table, a, b, cap, budget))
+
+
+def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
+    """Minimax chain depth of `pair` inside Cg(graph.source): the least
+    layer M whose pairs of depth <= M generate an equivalence relating the
+    ends.  0 when the ends are equal; None when no layer within the walk's
+    cap joins them."""
+    c, d = pair
+    if c == d:
+        return 0
+    for m in range(max(graph.depth.values()) + 1):
+        reached = (p for p, k in graph.depth.items() if k <= m)
+        if Congruence.from_pairs(graph.size, reached).relates(c, d):
+            return m
+    return None
 
 
 def principal_congruence(target, a: int, b: int, *,
@@ -227,105 +236,3 @@ def principal_congruences(target, pairs: Iterable[tuple[int, int]], *,
         for v in members:
             cg[v] = acc
     return [congs[i] for i in cg]
-
-
-def _adjacency(depth: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), d in sorted(depth.items()):
-        if x == y:
-            continue
-        adj.setdefault(x, []).append((y, d))
-        adj.setdefault(y, []).append((x, d))
-    return adj
-
-
-def _bottleneck(adj: dict[int, list[tuple[int, int]]], src: int, dst: int) -> int | None:
-    best: dict[int, int] = {src: 0}
-    heap: list[tuple[int, int]] = [(0, src)]
-    while heap:
-        w, u = heapq.heappop(heap)
-        if w > best.get(u, 1 << 60):
-            continue
-        if u == dst:
-            return w
-        for v, ew in adj.get(u, ()):
-            nw = max(w, ew)
-            if nw < best.get(v, 1 << 60):
-                best[v] = nw
-                heapq.heappush(heap, (nw, v))
-    return None
-
-
-def _lex_shortest_path(adj, src: int, dst: int, limit: int) -> list[int] | None:
-    """Lexicographically smallest among minimum-hop src->dst paths in the
-    subgraph of edges with weight <= limit."""
-    from collections import deque
-
-    nbrs: dict[int, list[int]] = {}
-    for u, edges in adj.items():
-        nbrs[u] = sorted({v for v, w in edges if w <= limit})
-    if src == dst:
-        return [src]
-
-    def bfs(start):
-        dist = {start: 0}
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for v in nbrs.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    dq.append(v)
-        return dist
-
-    d_src = bfs(src)
-    if dst not in d_src:
-        return None
-    d_dst = bfs(dst)
-    total = d_src[dst]
-    path = [src]
-    u = src
-    while u != dst:
-        step = d_src[u] + 1
-        u = min(v for v in nbrs.get(u, ())
-                if d_dst.get(v, 1 << 60) + step == total)
-        path.append(u)
-    return path
-
-
-def maltsev_depth(target, gen: tuple[int, int], pair: tuple[int, int],
-                  cap: int | None = None, *,
-                  system: TranslationSystem | None = None,
-                  budget: Budget = DEFAULT_BUDGET) -> int | None:
-    """Minimax chain depth of `pair` inside Cg(gen): the least M such that
-    a Maltsev chain links the pair using only translation polynomials of
-    depth <= M.  None when the pair is not connected within the cap."""
-    c, d = pair
-    if c == d:
-        return 0
-    graph = pair_depth_graph(target, gen[0], gen[1], cap,
-                             system=system, budget=budget)
-    return _bottleneck(_adjacency(graph.depth), c, d)
-
-
-def maltsev_chain(target, gen: tuple[int, int], pair: tuple[int, int],
-                  cap: int | None = None, *,
-                  system: TranslationSystem | None = None,
-                  budget: Budget = DEFAULT_BUDGET
-                  ) -> tuple[int, list[int]] | None:
-    """Like maltsev_depth but also returns a witness chain of elements:
-    the minimax value, then among minimax-optimal chains one with fewest
-    edges, lexicographically smallest."""
-    c, d = pair
-    if c == d:
-        return 0, [c]
-    graph = pair_depth_graph(target, gen[0], gen[1], cap,
-                             system=system, budget=budget)
-    adj = _adjacency(graph.depth)
-    value = _bottleneck(adj, c, d)
-    if value is None:
-        return None
-    path = _lex_shortest_path(adj, c, d, value)
-    if path is None:
-        raise RuntimeError(f"no path of weight <= {value} from {c} to {d}")
-    return value, path

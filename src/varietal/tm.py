@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .algebra import Budget, DEFAULT_BUDGET
+
 
 class TMError(ValueError):
     """Problem with a machine description.
@@ -150,12 +152,14 @@ def step(tm: TuringMachine, config: Configuration):
     return Configuration(state=ins.next_state, head=head, ones=ones)
 
 
-def run_bounded(tm: TuringMachine, max_steps: int) -> RunOutcome:
+def run_bounded(tm: TuringMachine, max_steps: int,
+                budget: Budget = DEFAULT_BUDGET) -> RunOutcome:
     """Run from the empty tape for at most max_steps moves.
 
     HALTED(k) when the halting state is reached after k moves, HALTED with
     stalled=True when no instruction matches (k = moves actually made),
-    RUNNING when the budget runs out first.
+    RUNNING when the step budget runs out first.  The deadline of `budget`
+    is checked every 65536 moves.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -165,6 +169,8 @@ def run_bounded(tm: TuringMachine, max_steps: int) -> RunOutcome:
             return RunOutcome(halted=True, steps=k)
         if k == max_steps:
             break
+        if not k & 0xFFFF:
+            budget.check_time()
         nxt = step(tm, config)
         if nxt is HALTED:
             return RunOutcome(halted=True, steps=k, stalled=True)

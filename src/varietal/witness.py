@@ -342,12 +342,11 @@ def verify_chain(ctx: BnContext) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # f-char
 
-def verify_f_characterization(ctx: BnContext, cap: int | None = None) -> LemmaReport:
+def verify_f_characterization(ctx: BnContext) -> LemmaReport:
     """In the translation-pair BFS from (a, 0), capped at n+2 layers, the
     only element paired with b_n besides itself is c_n."""
     t0 = time.monotonic()
-    if cap is None:
-        cap = ctx.n + 2
+    cap = ctx.n + 2
     try:
         graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
                                  cap=cap, system=ctx.system(),
@@ -491,27 +490,18 @@ def verify_support_growth(ctx: BnContext) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # depth
 
-def bn_maltsev_depth(ctx: BnContext, cap: int | None = None) -> int | None:
-    """Minimax translation depth needed to connect b_n to c_n inside
-    Cg(a, 0); None when they are not connected within the cap."""
-    if cap is None:
-        cap = ctx.n + 2
-    return maltsev_depth(ctx.subpower, (ctx.a_id, ctx.zero_id),
-                         (ctx.id_of(ctx.b[ctx.n]), ctx.id_of(ctx.c[ctx.n])),
-                         cap=cap, system=ctx.system(), budget=ctx.budget)
-
-
 def verify_depth(ctx: BnContext) -> LemmaReport:
     """The depth equals n-1 exactly: the explicit chain gives the upper
     bound and the support-growth argument forbids anything shallower."""
     t0 = time.monotonic()
     try:
-        depth = bn_maltsev_depth(ctx)
         graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
                                  cap=ctx.n + 2, system=ctx.system(),
                                  budget=ctx.budget)
     except BudgetExceeded as exc:
         return _skip("depth", ctx.n, exc, t0, ctx.subpower.size)
+    depth = maltsev_depth(graph, (ctx.id_of(ctx.b[ctx.n]),
+                                  ctx.id_of(ctx.c[ctx.n])))
     expected = ctx.n - 1
     passed = depth == expected
     report = LemmaReport("depth", ctx.n, passed,

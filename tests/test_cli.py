@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,22 @@ def test_verify_budget_skip(tmp_path, monkeypatch):
     assert "budget" in doc["reports"][0]["note"]
 
 
+def test_verify_charges_every_width_to_one_budget(tmp_path, monkeypatch):
+    """VARIETAL_BUDGET_SECONDS caps the whole run, not each width."""
+    budgets = []
+
+    def recording(lemma, ma, n, *, budget, ctx=None):
+        budgets.append(budget)
+        return real(lemma, ma, n, budget=budget, ctx=ctx)
+
+    real = cli.run_lemma
+    monkeypatch.setattr(cli, "run_lemma", recording)
+    assert main(["verify", "--tm", HALTING, "--lemma", "structure",
+                 "--n", "2..4", "--out", str(tmp_path / "v.json")]) == 0
+    assert len(budgets) == 3
+    assert all(b is budgets[0] for b in budgets)
+
+
 def test_verify_seed_changes_nothing_but_its_echo(tmp_path):
     docs = []
     for seed in ("1", "2"):
@@ -206,6 +223,7 @@ def test_budget_seconds_that_are_not_a_number_are_a_usage_error(value, capsys,
     ["bn", "build", "--n", "2..5"],
     ["bn", "build", "--with-k", "--n", "2..5"],
     ["sd-meet", "--n", "2..4"],
+    ["algebra", "build"],
 ], ids=" ".join)
 def test_tiny_time_budget_exits_3_without_a_traceback(argv):
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
@@ -215,6 +233,18 @@ def test_tiny_time_budget_exits_3_without_a_traceback(argv):
                          timeout=120)
     assert run.returncode == 3
     assert b"Traceback" not in run.stderr
+
+
+def test_long_tm_run_stops_at_its_deadline():
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+           "VARIETAL_BUDGET_SECONDS": "0.5"}
+    t0 = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "varietal.cli", "tm", "run",
+                          LOOPING, "--max-steps", "100000000"], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 3
+    assert b"Traceback" not in run.stderr and b"budget" in run.stderr
+    assert time.monotonic() - t0 < 10.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from varietal import build_bn, build_kprime
 from varietal.algebra import Budget, BudgetExceeded
 from varietal.depth import (
     _pair_bfs,
-    maltsev_chain,
     maltsev_depth,
     pair_depth_graph,
     principal_congruence,
@@ -208,33 +208,23 @@ def test_principal_congruences_are_unchanged_by_the_cell_budget(ctx3):
     assert principal_congruences(sp, pairs, system=system, budget=tiny) == expected
 
 
-def test_maltsev_depth_matches_minimax_oracle(ctx2):
-    sp = ctx2.subpower
-    system = ctx2.system()
-    graph = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, cap=None,
-                             system=system)
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("source", ["a,0", "a,d_2"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["halting", "three-state", "k-extended"])
+def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cap):
+    if kind == "k-extended":
+        ctx = build_kprime(request.getfixturevalue("ma2_k"), n)
+    else:
+        ma = request.getfixturevalue("ma2" if kind == "halting" else "ma3")
+        ctx = build_bn(ma, n)
+    sp = ctx.subpower
+    gen = (ctx.a_id, ctx.zero_id if source == "a,0" else ctx.id_of(ctx.d[2]))
+    graph = pair_depth_graph(sp, *gen, cap=cap, system=ctx.system())
     w = minimax_closure(graph.depth, sp.size)
-    gen = (ctx2.a_id, ctx2.zero_id)
     for i, j in product(range(sp.size), repeat=2):
-        got = maltsev_depth(sp, gen, (i, j), system=system)
         expected = w[i][j] if w[i][j] < 10 ** 9 else None
-        assert got == expected, (i, j)
-
-
-def test_maltsev_chain_witness(ctx2):
-    sp = ctx2.subpower
-    system = ctx2.system()
-    gen = (ctx2.a_id, ctx2.zero_id)
-    b2, c2 = ctx2.id_of(ctx2.b[2]), ctx2.id_of(ctx2.c[2])
-    result = maltsev_chain(sp, gen, (b2, c2), system=system)
-    assert result is not None
-    value, path = result
-    assert value == maltsev_depth(sp, gen, (b2, c2), system=system) == 1
-    assert path[0] == b2 and path[-1] == c2
-    graph = pair_depth_graph(sp, *gen, cap=None, system=system).depth
-    for x, y in zip(path, path[1:]):
-        assert graph[(min(x, y), max(x, y))] <= value
-    assert maltsev_chain(sp, gen, (b2, b2), system=system) == (0, [b2])
+        assert maltsev_depth(graph, (i, j)) == expected, (i, j)
 
 
 def test_generic_and_subpower_translations_agree(ctx2):
@@ -277,17 +267,6 @@ def test_pair_bfs_checks_max_pairs_inside_a_layer(ctx3):
                          system=ctx3.system(), budget=Budget(max_pairs=5))
     assert info.value.what == "max_pairs"
     assert "6 > 5" in str(info.value)
-
-
-def test_pair_depth_graph_json(ctx2):
-    graph = pair_depth_graph(ctx2.subpower, ctx2.a_id, ctx2.zero_id,
-                             cap=3, system=ctx2.system())
-    doc = graph.to_json()
-    assert doc["source"] == [ctx2.a_id, ctx2.zero_id]
-    assert doc["cap"] == 3
-    keys = [(p["x"], p["y"]) for p in doc["pairs"]]
-    assert keys == sorted(keys)
-    assert all(set(p) == {"x", "y", "depth"} for p in doc["pairs"])
 
 
 @pytest.mark.parametrize("size", [250, 255, 256, 257, 300])

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from varietal import witness
+from varietal import depth as depth_module, witness
 from varietal.algebra import Budget, TranslationStep
-from varietal.depth import maltsev_depth, principal_congruence, \
-    translation_system
+from varietal.depth import maltsev_depth, pair_depth_graph, \
+    principal_congruence, translation_system
 from varietal.subpower import op_image
 from varietal.witness import (
     LEMMA_ORDER,
     NONZERO_OPS,
     LemmaReport,
-    bn_maltsev_depth,
     build_bn,
     build_kprime,
     explicit_chain_polynomial,
@@ -147,9 +146,9 @@ def test_k_extended_pair_walk_gives_depth_one(ma2_k, n):
     """k-collapse reads its depth from its certificate; the generic engine
     over the K-extended translations agrees."""
     ctx = build_kprime(ma2_k, n)
-    pair = (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))
-    assert maltsev_depth(ctx.subpower, (ctx.a_id, ctx.zero_id), pair,
-                         cap=n + 2, system=ctx.system()) == 1
+    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=n + 2,
+                             system=ctx.system())
+    assert maltsev_depth(graph, (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == 1
 
 
 def test_kprime_sizes(ma2_k, kctx3):
@@ -175,7 +174,23 @@ def test_kprime_guards(ma2, ma2_k):
 
 @pytest.mark.parametrize("n,depth", [(2, 1), (3, 2), (4, 3)])
 def test_depth_values(request, n, depth):
-    assert bn_maltsev_depth(get_ctx(request, n)) == depth
+    ctx = get_ctx(request, n)
+    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=n + 2,
+                             system=ctx.system())
+    assert maltsev_depth(graph, (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == depth
+
+
+def test_verify_depth_walks_once(ctx3, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pair_depth_graph(*args, **kwargs)
+
+    for module in (witness, depth_module):
+        monkeypatch.setattr(module, "pair_depth_graph", counted)
+    assert witness.verify_depth(ctx3).status == "PASSED"
+    assert len(calls) == 1
 
 
 def test_theta_structure(ctx3):
