@@ -16,11 +16,10 @@ from .subpower import Subpower, close_subpower, op_image, translation_maps
 from .tm import Configuration, Instruction, RunOutcome, TMError, \
     TuringMachine, load_tm, machine, parse_tm, run_bounded
 from .witness import BnContext, LEMMA_ORDER, LemmaReport, build_bn, \
-    build_kprime, explicit_chain_polynomial, kprime_collapse, \
-    run_lemma, verify_atomicity, verify_bn_structure, verify_chain, \
-    verify_depth, verify_f_characterization, verify_nonzero_ops, \
-    verify_omission_all, verify_subalgebra_omission, verify_support_growth, \
-    witness_tuples
+    explicit_chain_polynomial, kprime_collapse, run_lemma, verify_atomicity, \
+    verify_bn_structure, verify_chain, verify_depth, \
+    verify_f_characterization, verify_nonzero_ops, verify_omission_all, \
+    verify_subalgebra_omission, verify_support_growth, witness_tuples
 
 __version__ = "0.1.0"
 

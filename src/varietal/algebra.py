@@ -282,32 +282,6 @@ class Congruence:
             dsu.union(a, b)
         return Congruence(dsu.labels())
 
-    @staticmethod
-    def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Congruence":
-        blocks = [sorted(blk) for blk in blocks]
-        labels = [-1] * size
-        for members in blocks:
-            for m in members:
-                if not (0 <= m < size) or labels[m] != -1:
-                    raise ValueError("blocks must partition 0..size-1")
-                labels[m] = -2  # placeholder; relabel below
-        if any(lab == -1 for lab in labels):
-            raise ValueError("blocks must cover the universe")
-        dsu = DisjointSets(size)
-        for members in blocks:
-            for m in members[1:]:
-                dsu.union(members[0], m)
-        return Congruence(dsu.labels())
-
-
-def congruence_to_json(cong: Congruence) -> dict:
-    """{"blocks": [[...], ...]} with blocks sorted by least element."""
-    return {"blocks": cong.blocks()}
-
-
-def congruence_from_json(doc: dict, size: int) -> Congruence:
-    return Congruence.from_blocks(size, doc["blocks"])
-
 
 def is_congruence(alg: FiniteAlgebra, cong: Congruence,
                   budget: Budget = DEFAULT_BUDGET) -> bool:

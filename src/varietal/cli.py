@@ -26,7 +26,7 @@ from .lattice import congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import LEMMA_ORDER, _skip, build_bn, build_kprime, run_lemma
+from .witness import LEMMA_ORDER, _skip, build_bn, run_lemma
 
 SCHEMA = 1
 
@@ -92,8 +92,6 @@ def _add_common(p, *, n_flag=True):
                        help="width or inclusive range, e.g. 3 or 2..4")
     p.add_argument("--max-elements", type=int, default=1_000_000)
     p.add_argument("--max-pairs", type=int, default=5_000_000)
-    p.add_argument("--seed", type=int, default=0,
-                   help="echoed in the verify document; changes no verdict")
     p.add_argument("--timings", action="store_true",
                    help="emit real wall-clock seconds in stats")
     p.add_argument("--out", help="write the JSON document here")
@@ -125,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run the lemma suite")
     _add_common(verify_p)
+    verify_p.add_argument("--seed", type=int, default=0,
+                          help="echoed in the document; changes no verdict")
     verify_p.add_argument("--lemma", choices=LEMMA_ORDER,
                           help="restrict to one lemma")
 
@@ -181,7 +181,7 @@ def _cmd_bn_build(args, budget: Budget) -> int:
     rows = []
     try:
         for n in range(args.n[0], args.n[1] + 1):
-            ctx = (build_kprime if args.with_k else build_bn)(ma, n, budget)
+            ctx = build_bn(ma, n, budget)
             rows.append({"n": n, "universe": ctx.subpower.size,
                          "generators": 2 * n - 1,
                          "alphabet": [ma.names[v] for v in
@@ -235,14 +235,8 @@ def _cmd_verify(args, budget: Budget) -> int:
 def _cmd_depth(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    reports = []
-    for n in range(args.n[0], args.n[1] + 1):
-        try:
-            ctx = build_bn(ma, n, budget)
-        except BudgetExceeded as exc:
-            reports.append(_skip("depth", n, exc, time.monotonic()))
-            continue
-        reports.append(run_lemma("depth", ma, n, budget=budget, ctx=ctx))
+    reports = [run_lemma("depth", ma, n, budget=budget)
+               for n in range(args.n[0], args.n[1] + 1)]
     depths = [r.witnesses[0]["depth"] if r.witnesses else None
               for r in reports]
     doc = {"schema": SCHEMA, "command": "depth", "tm": args.tm,

@@ -1,19 +1,19 @@
 """Congruence generation and chain depth through fundamental translations.
 
 A fundamental translation fixes all arguments of one operation but one
-with constants.  The pair BFS walks the pairs {g(a), g(b)} over composed
-translations g, organized by how many translations were composed: a
-layered graph on unordered pairs (layer 0 is {a,b}, layer d+1 holds unseen
-images of layer-d pairs).  By Mal'cev's lemma Cg(a,b) is the equivalence
-generated by the reached pairs, so one walk serves Cg(a,b), depth and
-f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by a path of
-reached pairs.  The chain depth of (c,d) is the least M such that some
-such path uses only pairs of depth <= M (a minimax path weight); as the
-layers only add pairs, it is the first layer M whose pairs of depth <= M
-generate an equivalence relating c and d.  The all-pairs job takes one
-pass over the pair graph (each pair to its images): a strongly connected
-component's pairs share their Cg, and Tarjan's components, finished
-sinks first, each join their successors' Cg and their own pairs.
+with constants.  The pair walk from (a,b) visits the pairs {g(a), g(b)}
+over composed translations g, layer by layer, to its fixed point: layer
+0 is {a,b}, layer d+1 holds unseen images of layer-d pairs, and pairs
+are inserted in layer order.  By Mal'cev's lemma Cg(a,b) is the
+equivalence generated by the reached pairs, so one walk serves Cg(a,b),
+depth and f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by
+a path of reached pairs.  The chain depth of (c,d) is the least M such
+that some such path uses only pairs of depth <= M (a minimax path
+weight): the layer of the reached pair whose union, in insertion order,
+first joins c and d.  The all-pairs job takes one pass over the pair
+graph (each pair to its images): a strongly connected component's pairs
+share their Cg, and Tarjan's components, finished sinks first, each join
+their successors' Cg and their own pairs.
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -32,6 +32,7 @@ from .algebra import (
     Budget,
     DEFAULT_BUDGET,
     Congruence,
+    DisjointSets,
     FiniteAlgebra,
     TranslationStep,
 )
@@ -61,18 +62,19 @@ def translation_system(target: FiniteAlgebra | Subpower,
     return TranslationSystem(*translation_maps(target, symbols, budget))
 
 
-def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
+def _pair_bfs(table: np.ndarray, a: int, b: int,
               budget: Budget) -> dict[tuple[int, int], int]:
     """A layer at a time: its pairs' images under every map, gathered from
     table columns as codes min * N + max, in chunks of at most
-    max_signatures cells (the cell budget of the automaton layer)."""
+    max_signatures cells (the cell budget of the automaton layer).  New
+    pairs are only appended, so depths never decrease in insertion order."""
     size = table.shape[1]
     source = (a, b) if a <= b else (b, a)
     depth = {source: 0}
     seen = frontier = np.array([source[0] * size + source[1]])
     step = max(1, budget.max_signatures // max(1, len(table)))
     d = 0
-    while len(frontier) and (cap is None or d < cap):
+    while len(frontier):
         budget.check_time()
         xs, ys = np.divmod(frontier, size)
         xs, ys = xs[xs != ys], ys[xs != ys]
@@ -97,34 +99,34 @@ def _pair_bfs(table: np.ndarray, a: int, b: int, cap: int | None,
 @dataclass(eq=False)
 class PairDepthGraph:
     """Minimum translation counts for every unordered pair reached from
-    the source pair within the cap (cap=None: to the fixed point), on a
-    universe of `size` elements."""
+    the source pair, in layer order, on a universe of `size` elements."""
 
-    source: tuple[int, int]
-    cap: int | None
     size: int
     depth: dict[tuple[int, int], int]
 
+    def congruence(self) -> Congruence:
+        """Cg of the source pair: the equivalence the reached pairs generate."""
+        return Congruence.from_pairs(self.size, self.depth)
 
-def pair_depth_graph(target, a: int, b: int, cap: int | None = None, *,
+
+def pair_depth_graph(target, a: int, b: int, *,
                      system: TranslationSystem | None = None,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     system = system or translation_system(target, None, budget)
-    return PairDepthGraph(source=(a, b), cap=cap, size=system.table.shape[1],
-                          depth=_pair_bfs(system.table, a, b, cap, budget))
+    return PairDepthGraph(system.table.shape[1],
+                          _pair_bfs(system.table, a, b, budget))
 
 
 def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
-    """Minimax chain depth of `pair` inside Cg(graph.source): the least
-    layer M whose pairs of depth <= M generate an equivalence relating the
-    ends.  0 when the ends are equal; None when no layer within the walk's
-    cap joins them."""
+    """Minimax chain depth of `pair` inside the walk's Cg: the depth of the
+    reached pair whose union, in insertion (so layer) order, first joins
+    the ends.  0 when the ends are equal; None when no pair joins them."""
     c, d = pair
     if c == d:
         return 0
-    for m in range(max(graph.depth.values()) + 1):
-        reached = (p for p, k in graph.depth.items() if k <= m)
-        if Congruence.from_pairs(graph.size, reached).relates(c, d):
+    sets = DisjointSets(graph.size)
+    for (x, y), m in graph.depth.items():
+        if sets.union(x, y) and sets.find(c) == sets.find(d):
             return m
     return None
 
@@ -133,9 +135,8 @@ def principal_congruence(target, a: int, b: int, *,
                          system: TranslationSystem | None = None,
                          budget: Budget = DEFAULT_BUDGET) -> Congruence:
     """Cg(a,b): the equivalence generated by the pairs reached from (a,b)."""
-    system = system or translation_system(target, None, budget)
-    return Congruence.from_pairs(system.table.shape[1],
-                                 _pair_bfs(system.table, a, b, None, budget))
+    return pair_depth_graph(target, a, b, system=system,
+                            budget=budget).congruence()
 
 
 def _pair_graph(table: np.ndarray, pairs: np.ndarray,

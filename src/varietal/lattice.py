@@ -68,7 +68,6 @@ class Lattice:
     size: int
     join_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] = ()
 
     def join(self, x: int, y: int) -> int:
         return self.join_table[x][y]
@@ -77,7 +76,7 @@ class Lattice:
         return self.meet_table[x][y]
 
     @staticmethod
-    def from_order(leq: list[list[bool]], names: tuple[str, ...] = ()) -> "Lattice":
+    def from_order(leq: list[list[bool]]) -> "Lattice":
         """Build join/meet tables from a partial order; raises ValueError
         when some pair lacks a least upper or greatest lower bound."""
         n = len(leq)
@@ -108,14 +107,13 @@ class Lattice:
 
         jt = tuple(tuple(least_upper(x, y) for y in range(n)) for x in range(n))
         mt = tuple(tuple(greatest_lower(x, y) for y in range(n)) for x in range(n))
-        return Lattice(n, jt, mt, names)
+        return Lattice(n, jt, mt)
 
 
 def lattice_of_congruences(congs: list[Congruence]) -> Lattice:
     """Order a closed set of congruences by refinement."""
     leq = [[a.refines(b) for b in congs] for a in congs]
-    names = tuple(f"theta{i}" for i in range(len(congs)))
-    return Lattice.from_order(leq, names)
+    return Lattice.from_order(leq)
 
 
 def is_meet_semidistributive(lat: Lattice) -> tuple[bool, tuple[int, int, int] | None]:
@@ -148,4 +146,4 @@ def m3_lattice() -> Lattice:
         leq[x][x] = True
         leq[bottom][x] = True
         leq[x][top] = True
-    return Lattice.from_order(leq, ("bot", "a", "b", "c", "top"))
+    return Lattice.from_order(leq)

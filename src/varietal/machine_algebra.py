@@ -167,14 +167,12 @@ class MachineAlgebra:
         return (x == self.two and z in (self.two, self.h)) or \
                (x == self.one and z == self.one)
 
-    def eval_op(self, symbol: str, args) -> int:
-        return self.algebra.eval(symbol, args)
-
     # -- operations ---------------------------------------------------------
 
     def _build_ops(self) -> tuple[Operation, ...]:
         bar = self.bar_index
         one, two, h = self.one, self.two, self.h
+        prec = self.prec
         zero = 0
 
         def meet(x, y):
@@ -307,9 +305,6 @@ class MachineAlgebra:
                 return zero
 
             return move
-
-        def prec(x, z):
-            return (x == two and (z == two or z == h)) or (x == one and z == one)
 
         def make_u1(f):
             def u1(x, y, z, u):

@@ -34,8 +34,9 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import Budget, BudgetExceeded, DEFAULT_BUDGET, TranslationStep
-from .depth import TranslationSystem, maltsev_depth, pair_depth_graph, \
-    principal_congruence, principal_congruences, translation_system
+from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
+    pair_depth_graph, principal_congruence, principal_congruences, \
+    translation_system
 from .machine_algebra import MachineAlgebra, vector_evaluator
 from .subpower import Subpower, close_subpower, op_image
 
@@ -79,7 +80,8 @@ class LemmaReport:
 
 @dataclass(eq=False)
 class BnContext:
-    """The witness subpower plus named generators and derived tuples."""
+    """The witness subpower plus named generators and derived tuples, with
+    its translation system and its pair walk from (a, 0), each built once."""
 
     n: int
     algebra: MachineAlgebra
@@ -91,6 +93,7 @@ class BnContext:
     zero_tuple: tuple[int, ...]
     budget: Budget
     _system: TranslationSystem | None = None
+    _walk: PairDepthGraph | None = None
 
     def id_of(self, raw: tuple[int, ...]) -> int:
         return self.subpower.index[raw]
@@ -107,6 +110,13 @@ class BnContext:
         if self._system is None:
             self._system = translation_system(self.subpower, budget=self.budget)
         return self._system
+
+    def walk(self) -> PairDepthGraph:
+        """The pair walk from (a, 0), shared by atomic, chain, f-char and depth."""
+        if self._walk is None:
+            self._walk = pair_depth_graph(self.subpower, self.a_id, self.zero_id,
+                                          system=self.system(), budget=self.budget)
+        return self._walk
 
     def render(self, raw: tuple[int, ...]) -> list[str]:
         names = self.algebra.names
@@ -261,14 +271,12 @@ def verify_atomicity(ctx: BnContext) -> LemmaReport:
     t0 = time.monotonic()
     sp = ctx.subpower
     try:
-        system = ctx.system()
-        theta = principal_congruence(sp, ctx.a_id, ctx.zero_id,
-                                     system=system, budget=ctx.budget)
+        theta = ctx.walk().congruence()
         # theta is a congruence: the pairs in its blocks are closed under images
         pairs = [p for block in theta.blocks() for p in combinations(block, 2)]
         bad = [{"pair": [ctx.render_id(u), ctx.render_id(v)]}
                for (u, v), psi in zip(pairs, principal_congruences(
-                   sp, pairs, system=system, budget=ctx.budget))
+                   sp, pairs, system=ctx.system(), budget=ctx.budget))
                if not theta.refines(psi)]
     except BudgetExceeded as exc:
         return _skip("atomic", ctx.n, exc, t0, sp.size)
@@ -326,8 +334,7 @@ def verify_chain(ctx: BnContext) -> LemmaReport:
         bad.append({"chain_value_on_0": ctx.render_id(f0)})
     pairs = 0
     try:
-        theta = principal_congruence(ctx.subpower, ctx.a_id, ctx.zero_id,
-                                     system=ctx.system(), budget=ctx.budget)
+        theta = ctx.walk().congruence()
         pairs = sum(len(bl) * (len(bl) - 1) // 2 for bl in theta.blocks())
         if not theta.relates(ctx.id_of(ctx.b[ctx.n]), ctx.id_of(ctx.c[ctx.n])):
             bad.append({"generic_congruence_misses": "(b_n, c_n)"})
@@ -343,20 +350,18 @@ def verify_chain(ctx: BnContext) -> LemmaReport:
 # f-char
 
 def verify_f_characterization(ctx: BnContext) -> LemmaReport:
-    """In the translation-pair BFS from (a, 0), capped at n+2 layers, the
-    only element paired with b_n besides itself is c_n."""
+    """Among the pairs of the walk from (a, 0) within n+2 layers, the only
+    element paired with b_n besides itself is c_n."""
     t0 = time.monotonic()
     cap = ctx.n + 2
     try:
-        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
-                                 cap=cap, system=ctx.system(),
-                                 budget=ctx.budget)
+        reached = [p for p, d in ctx.walk().depth.items() if d <= cap]
     except BudgetExceeded as exc:
         return _skip("f-char", ctx.n, exc, t0, ctx.subpower.size)
     b_id = ctx.id_of(ctx.b[ctx.n])
     c_id = ctx.id_of(ctx.c[ctx.n])
     partners = set()
-    for x, y in graph.depth:
+    for x, y in reached:
         if x == b_id and y != b_id:
             partners.add(y)
         elif y == b_id and x != b_id:
@@ -366,8 +371,8 @@ def verify_f_characterization(ctx: BnContext) -> LemmaReport:
         bad.append({"missing_partner": ctx.render(ctx.c[ctx.n])})
     report = LemmaReport("f-char", ctx.n, passed=not bad,
                          counterexamples=bad,
-                         stats=_stats(ctx, len(graph.depth), t0))
-    report.witnesses = [{"cap": cap, "pairs_reached": len(graph.depth),
+                         stats=_stats(ctx, len(reached), t0))
+    report.witnesses = [{"cap": cap, "pairs_reached": len(reached),
                          "partners_of_b_n": [ctx.render_id(p)
                                              for p in sorted(partners)]}]
     return report
@@ -495,9 +500,7 @@ def verify_depth(ctx: BnContext) -> LemmaReport:
     bound and the support-growth argument forbids anything shallower."""
     t0 = time.monotonic()
     try:
-        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
-                                 cap=ctx.n + 2, system=ctx.system(),
-                                 budget=ctx.budget)
+        graph = ctx.walk()
     except BudgetExceeded as exc:
         return _skip("depth", ctx.n, exc, t0, ctx.subpower.size)
     depth = maltsev_depth(graph, (ctx.id_of(ctx.b[ctx.n]),
@@ -530,7 +533,7 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
     if n < 3:
         raise ValueError("k-collapse is meaningful for n >= 3")
     try:
-        ctx = build_kprime(ma_k, n, budget)
+        ctx = build_bn(ma_k, n, budget)
     except BudgetExceeded as exc:
         return _skip("k-collapse", n, exc, t0)
     sp = ctx.subpower
@@ -582,18 +585,6 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
                   "depth": depth}]
     return LemmaReport("k-collapse", n, passed=not bad, witnesses=witnesses,
                        counterexamples=bad, stats=_stats(ctx, 0, t0))
-
-
-def build_kprime(ma_k: MachineAlgebra, n: int,
-                 budget: Budget = DEFAULT_BUDGET) -> BnContext:
-    """Same generators, closed under the K-extended operation set."""
-    if not ma_k.with_k:
-        raise ValueError("expected an algebra compiled with K")
-    b, d, c = witness_tuples(ma_k, n)
-    gens = [b[i] for i in range(1, n + 1)] + [d[i] for i in range(2, n + 1)]
-    sp = close_subpower(ma_k.algebra, n, gens, budget)
-    return BnContext(n=n, algebra=ma_k, subpower=sp, a=b[1], b=b, d=d, c=c,
-                     zero_tuple=(0,) * n, budget=budget)
 
 
 # ---------------------------------------------------------------------------

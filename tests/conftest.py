@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 import oracles
-from varietal import build_bn, build_kprime, compile_machine, load_tm, machine
+from varietal import build_bn, compile_machine, load_tm, machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -70,4 +70,4 @@ def ctx4(ma2):
 
 @pytest.fixture(scope="session")
 def kctx3(ma2_k):
-    return build_kprime(ma2_k, 3)
+    return build_bn(ma2_k, 3)

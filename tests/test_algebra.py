@@ -9,8 +9,6 @@ from varietal.algebra import (
     DisjointSets,
     FiniteAlgebra,
     Operation,
-    congruence_from_json,
-    congruence_to_json,
     is_congruence,
     table_op,
 )
@@ -137,24 +135,6 @@ def test_congruence_spanning_pairs_regenerate():
     pairs = cong.spanning_pairs()
     assert Congruence.from_pairs(cong.size, pairs) == cong
     assert Congruence.identity(4).spanning_pairs() == []
-
-
-def test_congruence_blocks_and_json():
-    cong = Congruence((0, 1, 0, 2))
-    doc = congruence_to_json(cong)
-    assert doc == {"blocks": [[0, 2], [1], [3]]}
-    assert congruence_from_json(doc, 4) == cong
-    with pytest.raises(ValueError):
-        Congruence.from_blocks(4, [[0, 1], [2]])
-    with pytest.raises(ValueError):
-        Congruence.from_blocks(4, [[0, 1], [1, 2, 3]])
-
-
-def test_congruence_from_blocks_takes_a_generator():
-    listed = Congruence.from_blocks(4, [[0, 1], [2, 3]])
-    generated = Congruence.from_blocks(4, (b for b in [[0, 1], [2, 3]]))
-    assert generated == listed
-    assert generated.labels == (0, 0, 1, 1)
 
 
 def test_is_congruence():

@@ -204,6 +204,14 @@ def test_verify_seed_changes_nothing_but_its_echo(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("command", [["bn", "build"], ["depth"]], ids=" ".join)
+def test_seed_is_a_usage_error_outside_verify(command, capsys):
+    # only verify echoes --seed; no other command takes it
+    assert main([*command, "--tm", HALTING, "--n", "2", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "nan"])
 def test_budget_seconds_that_are_not_a_number_are_a_usage_error(value, capsys,
                                                                 monkeypatch):

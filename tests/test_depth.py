@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from varietal import build_bn, build_kprime
+from varietal import build_bn
 from varietal.algebra import Budget, BudgetExceeded
 from varietal.depth import (
+    PairDepthGraph,
     _pair_bfs,
     maltsev_depth,
     pair_depth_graph,
@@ -16,6 +17,7 @@ from varietal.depth import (
     TranslationSystem,
     translation_system,
 )
+from varietal.witness import verify_f_characterization
 
 
 def layered_bfs(maps, a, b, cap):
@@ -67,13 +69,13 @@ def minimax_closure(depth, size):
 
 
 def test_pair_bfs_matches_layered_rederivation(ctx2, ctx3, ctx4):
-    for ctx, cap in product((ctx2, ctx3, ctx4), (None, 1, 2)):
+    for ctx in (ctx2, ctx3, ctx4):
         system = ctx.system()
-        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=cap,
+        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
                                  system=system)
         expected = layered_bfs(system.table.tolist(), ctx.a_id, ctx.zero_id,
-                               cap)
-        assert graph.depth == expected, (ctx.n, cap)
+                               None)
+        assert graph.depth == expected, ctx.n
         assert graph.depth[(min(ctx.a_id, ctx.zero_id),
                             max(ctx.a_id, ctx.zero_id))] == 0
 
@@ -104,22 +106,19 @@ def test_pair_bfs_chunks_follow_the_cell_budget_not_max_pairs(ctx3):
         assert max(table.log) == cells // maps
 
 
-def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2):
-    sp = ctx2.subpower
-    system = ctx2.system()
-    full = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, cap=None,
-                            system=system).depth
-    for cap in (1, 2, 3):
-        capped = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, cap=cap,
-                                  system=system).depth
-        assert capped == {p: d for p, d in full.items() if d <= cap}
+def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2, ctx3, ctx4):
+    # f-char keeps the pairs of the shared walk within n+2 layers
+    for ctx in (ctx2, ctx3, ctx4):
+        report = verify_f_characterization(ctx)
+        expected = layered_bfs(ctx.system().table.tolist(), ctx.a_id,
+                               ctx.zero_id, ctx.n + 2)
+        assert report.witnesses[0]["pairs_reached"] == len(expected), ctx.n
 
 
 def test_reached_pairs_lie_in_the_principal_congruence(ctx2):
     sp = ctx2.subpower
     system = ctx2.system()
-    graph = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, cap=None,
-                             system=system)
+    graph = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, system=system)
     theta = principal_congruence(sp, ctx2.a_id, ctx2.zero_id, system=system)
     for x, y in graph.depth:
         assert theta.relates(x, y)
@@ -208,19 +207,24 @@ def test_principal_congruences_are_unchanged_by_the_cell_budget(ctx3):
     assert principal_congruences(sp, pairs, system=system, budget=tiny) == expected
 
 
-@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("cut", [None, 1])
 @pytest.mark.parametrize("source", ["a,0", "a,d_2"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["halting", "three-state", "k-extended"])
-def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cap):
-    if kind == "k-extended":
-        ctx = build_kprime(request.getfixturevalue("ma2_k"), n)
-    else:
-        ma = request.getfixturevalue("ma2" if kind == "halting" else "ma3")
-        ctx = build_bn(ma, n)
+def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cut):
+    """On the whole walk, and on the walk cut after layer 1 (a prefix,
+    as f-char keeps one), where some pairs of Cg are not joined."""
+    ma = request.getfixturevalue({"halting": "ma2", "three-state": "ma3",
+                                  "k-extended": "ma2_k"}[kind])
+    ctx = build_bn(ma, n)
     sp = ctx.subpower
     gen = (ctx.a_id, ctx.zero_id if source == "a,0" else ctx.id_of(ctx.d[2]))
-    graph = pair_depth_graph(sp, *gen, cap=cap, system=ctx.system())
+    graph = pair_depth_graph(sp, *gen, system=ctx.system())
+    layers = list(graph.depth.values())
+    assert layers == sorted(layers)
+    if cut is not None:
+        graph = PairDepthGraph(sp.size, {p: d for p, d in graph.depth.items()
+                                         if d <= cut})
     w = minimax_closure(graph.depth, sp.size)
     for i, j in product(range(sp.size), repeat=2):
         expected = w[i][j] if w[i][j] < 10 ** 9 else None
@@ -288,9 +292,7 @@ def test_narrow_tables_walk_like_intp_tables(size):
     assert narrow.dtype == (np.uint8 if size <= 256 else np.uint16)
     assert narrow.max() == size - 1
     for a, b in [(0, size - 1), (size - 2, size - 1), (249, size - 3)]:
-        for cap in (None, 2):
-            assert _pair_bfs(narrow, a, b, cap, Budget()) == \
-                _pair_bfs(wide, a, b, cap, Budget())
+        assert _pair_bfs(narrow, a, b, Budget()) == _pair_bfs(wide, a, b, Budget())
     pairs = [(u, v) for u, v in combinations(range(size), 2) if u // 4 == v // 4]
     got, want = (principal_congruences(None, pairs, system=TranslationSystem(t[:3], []))
                  for t in (narrow, wide))

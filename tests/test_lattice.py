@@ -113,7 +113,7 @@ def test_from_order_rejects_non_lattices():
 
 def test_chain_is_a_lattice():
     leq = [[x <= y for y in range(4)] for x in range(4)]
-    lat = Lattice.from_order(leq, names=("0", "1", "2", "3"))
+    lat = Lattice.from_order(leq)
     assert lat.join(1, 2) == 2 and lat.meet(1, 2) == 1
     sd, _ = is_meet_semidistributive(lat)
     assert sd

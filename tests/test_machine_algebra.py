@@ -16,7 +16,7 @@ from varietal.machine_algebra import (
 
 
 def ev(ma, symbol, *args):
-    return ma.name(ma.eval_op(symbol, [ma.idx(a) for a in args]))
+    return ma.name(ma.algebra.eval(symbol, [ma.idx(a) for a in args]))
 
 
 # -- universe ----------------------------------------------------------------
@@ -219,9 +219,9 @@ def test_collapse_cases(ma2_k):
 def test_meet_mul_tables_match_altops(ma2):
     names = ma2.names
     for x, y in product(range(ma2.size), repeat=2):
-        assert names[ma2.eval_op("meet", (x, y))] == \
+        assert names[ma2.algebra.eval("meet", (x, y))] == \
             altops.alt_meet(names[x], names[y])
-        assert names[ma2.eval_op("mul", (x, y))] == \
+        assert names[ma2.algebra.eval("mul", (x, y))] == \
             altops.alt_mul(names[x], names[y])
 
 

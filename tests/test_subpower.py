@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from varietal.algebra import (
     DEFAULT_BUDGET, Budget, BudgetExceeded, Operation, TranslationStep)
-from varietal import build_bn, build_kprime, compile_machine, subpower
+from varietal import build_bn, compile_machine, subpower
 from varietal.subpower import (
     Subpower,
     _automaton,
@@ -318,7 +318,7 @@ def test_automata_are_built_once_per_algebra(monkeypatch, halting_tm):
     plain = set(built)
     built.clear()
     ma_k = compile_machine(halting_tm, with_k=True)
-    build_kprime(ma_k, 3).system()
+    build_bn(ma_k, 3).system()
     assert len(built) == len(set(built)) == len(ma_k.algebra.automata)
     assert plain & set(built)
 
@@ -357,7 +357,7 @@ def b2(request, ctx2, ma2_k, ma3, four_state_tm):
     """B_2 subpowers whose translation passes skip coinciding automata; the
     machines with R moves have more operations that can coincide."""
     return {"halting": lambda: ctx2,
-            "halting-k": lambda: build_kprime(ma2_k, 2),
+            "halting-k": lambda: build_bn(ma2_k, 2),
             "three-state": lambda: build_bn(ma3, 2),
             "four-state": lambda: build_bn(compile_machine(four_state_tm), 2),
             }[request.param]().subpower

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import FIXTURES
 from varietal import depth as depth_module, witness
 from varietal.algebra import Budget, TranslationStep
+from varietal.cli import main
 from varietal.depth import maltsev_depth, pair_depth_graph, \
     principal_congruence, translation_system
 from varietal.subpower import op_image
@@ -15,7 +17,6 @@ from varietal.witness import (
     NONZERO_OPS,
     LemmaReport,
     build_bn,
-    build_kprime,
     explicit_chain_polynomial,
     kprime_collapse,
     run_lemma,
@@ -27,6 +28,7 @@ from varietal.witness import (
 )
 
 EXPECTED_SIZE = {2: 6, 3: 14, 4: 30, 5: 62, 6: 126}
+HALTING = str(FIXTURES / "halting.tm")
 
 
 def get_ctx(request, n):
@@ -145,15 +147,13 @@ def test_k_collapse_passes(ma2_k, n):
 def test_k_extended_pair_walk_gives_depth_one(ma2_k, n):
     """k-collapse reads its depth from its certificate; the generic engine
     over the K-extended translations agrees."""
-    ctx = build_kprime(ma2_k, n)
-    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=n + 2,
-                             system=ctx.system())
-    assert maltsev_depth(graph, (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == 1
+    ctx = build_bn(ma2_k, n)
+    assert maltsev_depth(ctx.walk(), (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == 1
 
 
 def test_kprime_sizes(ma2_k, kctx3):
     assert kctx3.subpower.size == 18
-    assert build_kprime(ma2_k, 4).subpower.size == 54
+    assert build_bn(ma2_k, 4).subpower.size == 54
 
 
 def test_kprime_shortcut_element(ma2_k, kctx3):
@@ -165,8 +165,6 @@ def test_kprime_shortcut_element(ma2_k, kctx3):
 
 def test_kprime_guards(ma2, ma2_k):
     with pytest.raises(ValueError):
-        build_kprime(ma2, 3)
-    with pytest.raises(ValueError):
         kprime_collapse(ma2, 3)
     with pytest.raises(ValueError):
         kprime_collapse(ma2_k, 2)
@@ -175,22 +173,31 @@ def test_kprime_guards(ma2, ma2_k):
 @pytest.mark.parametrize("n,depth", [(2, 1), (3, 2), (4, 3)])
 def test_depth_values(request, n, depth):
     ctx = get_ctx(request, n)
-    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id, cap=n + 2,
+    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
                              system=ctx.system())
     assert maltsev_depth(graph, (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == depth
 
 
-def test_verify_depth_walks_once(ctx3, monkeypatch):
-    calls = []
+def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
+    """atomic, chain, f-char and depth share one walk on B_4; omission's
+    walks on its subalgebras C are told apart by their smaller universes."""
+    walks, principals = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return pair_depth_graph(*args, **kwargs)
+    def counted(log, func):
+        def wrapper(target, *args, **kwargs):
+            log.append(target.size)
+            return func(target, *args, **kwargs)
+        return wrapper
 
+    walk = counted(walks, pair_depth_graph)
+    principal = counted(principals, principal_congruence)
     for module in (witness, depth_module):
-        monkeypatch.setattr(module, "pair_depth_graph", counted)
-    assert witness.verify_depth(ctx3).status == "PASSED"
-    assert len(calls) == 1
+        monkeypatch.setattr(module, "pair_depth_graph", walk)
+        monkeypatch.setattr(module, "principal_congruence", principal)
+    assert main(["verify", "--tm", HALTING, "--n", "4",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert walks.count(EXPECTED_SIZE[4]) == 1
+    assert EXPECTED_SIZE[4] not in principals
 
 
 def test_theta_structure(ctx3):
