@@ -4,7 +4,7 @@ properties (atomic principal congruences, translation depth, lattice
 meet-semidistributivity)."""
 
 from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
-    FiniteAlgebra, Operation, TranslationStep, is_congruence, table_op
+    FiniteAlgebra, Operation, TranslationStep, table_op
 from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
     pair_depth_graph, principal_congruence, principal_congruences, \
     translation_system

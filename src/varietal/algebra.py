@@ -3,17 +3,21 @@
 A FiniteAlgebra is an indexed universe 0..size-1 with a tuple of named
 finitary operations.  Operations evaluate on element indices; small ones
 may be backed by dense row-major tables.  Congruences are partitions in
-canonical block-id form (blocks numbered by least member).  Everything
-here is deterministic.  The subuniverse generated by a set of elements is
-`subpower.close_subpower` at width 1.
+canonical block-id form (blocks numbered by least member); meets, joins
+and refinement are numpy operations on these label arrays, and every
+equivalence generated by pairs comes from one min-label hooking helper.
+Everything here is deterministic.  The subuniverse generated by a set of
+elements is `subpower.close_subpower` at width 1.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 class BudgetExceeded(RuntimeError):
@@ -143,54 +147,70 @@ class TranslationStep:
 # ---------------------------------------------------------------------------
 # congruences
 
-class DisjointSets:
-    """Union-find over 0..n-1 with path compression."""
+def _canonical(keys: np.ndarray) -> np.ndarray:
+    """Number the keys 0, 1, ... in order of first appearance."""
+    order = np.argsort(keys, kind="stable")
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=new[1:])
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]   # each key's first position
+    return _ranked(first)
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+def _ranked(first: np.ndarray) -> np.ndarray:
+    """Canonical labels from first[i] <= i, the first index in i's class:
+    the classes numbered in order of those first indices."""
+    return (np.cumsum(first == np.arange(len(first))) - 1)[first]
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
 
-    def labels(self) -> tuple[int, ...]:
-        out = []
-        seen: dict[int, int] = {}
-        for x in range(len(self.parent)):
-            r = self.find(x)
-            if r not in seen:
-                seen[r] = len(seen)
-            out.append(seen[r])
-        return tuple(out)
+def _generated(size: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Canonical labels of the equivalence on 0..size-1 that the pairs
+    (xs[i], ys[i]) generate, by min-label hooking (Liu and Tarjan, "Simple
+    concurrent labeling algorithms for connected components", SOSA 2019):
+    each root hooks to the least root it shares a pair with, pointers jump
+    until each points at its root, and that repeats until every pair has
+    one root.  Pointers only decrease, so a root is its block's least
+    member."""
+    root = np.arange(size)
+    while True:
+        rx, ry = root[xs], root[ys]
+        split = rx != ry
+        if not split.any():
+            return _ranked(root)
+        rx, ry = rx[split], ry[split]
+        np.minimum.at(root, rx, ry)
+        np.minimum.at(root, ry, rx)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
 
 @dataclass(frozen=True)
 class Congruence:
     """A partition in canonical form: labels[i] is the block id of element
-    i, blocks numbered 0.. in order of least member."""
+    i, blocks numbered 0.. in order of least member.  Meets, joins and
+    refinement work on the labels as a numpy array."""
 
     labels: tuple[int, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = -1
-        for lab in self.labels:
-            if lab > seen + 1:
-                raise ValueError("labels not in canonical first-appearance order")
-            seen = max(seen, lab)
+        array = np.array(self.labels, dtype=np.intp)
+        running = np.maximum.accumulate(array)
+        # labels start at 0, and each is at most one above all before it
+        if (array < 0).any() or (array[:1] > 0).any() or \
+                (array[1:] > running[:-1] + 1).any():
+            raise ValueError("labels not in canonical first-appearance order")
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
+
+    @cached_property
+    def _least(self) -> np.ndarray:
+        """The least member of each element's block: the first index at
+        which the running maximum of the canonical labels reaches its label."""
+        least = np.maximum.accumulate(self._array).searchsorted(self._array)
+        least.flags.writeable = False
+        return least
 
     @property
     def size(self) -> int:
@@ -221,39 +241,21 @@ class Congruence:
 
     def meet(self, other: "Congruence") -> "Congruence":
         self._check_same_size(other)
-        seen: dict[tuple[int, int], int] = {}
-        labels = []
-        for pair in zip(self.labels, other.labels):
-            if pair not in seen:
-                seen[pair] = len(seen)
-            labels.append(seen[pair])
-        return Congruence(tuple(labels))
+        keys = self._array * self.size + other._array
+        return Congruence(tuple(_canonical(keys).tolist()))
 
     def equiv_join(self, other: "Congruence") -> "Congruence":
         """Join in the lattice of equivalences (transitive closure of the
         union).  For two congruences this is also the congruence join."""
         self._check_same_size(other)
-        dsu = DisjointSets(self.size)
-        for rel in (self, other):
-            first: dict[int, int] = {}
-            for i, lab in enumerate(rel.labels):
-                if lab in first:
-                    dsu.union(first[lab], i)
-                else:
-                    first[lab] = i
-        return Congruence(dsu.labels())
+        every = np.arange(2 * self.size) % self.size
+        least = np.concatenate([self._least, other._least])
+        return Congruence(tuple(_generated(self.size, every, least).tolist()))
 
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""
         self._check_same_size(other)
-        rep: dict[int, int] = {}
-        for i, lab in enumerate(self.labels):
-            if lab in rep:
-                if other.labels[rep[lab]] != other.labels[i]:
-                    return False
-            else:
-                rep[lab] = i
-        return True
+        return bool((other._array[self._least] == other._array).all())
 
     def spanning_pairs(self) -> list[tuple[int, int]]:
         """One chain of pairs per nontrivial block; generates the same
@@ -277,40 +279,5 @@ class Congruence:
     @staticmethod
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
         """Equivalence (not necessarily compatible) generated by pairs."""
-        dsu = DisjointSets(size)
-        for a, b in pairs:
-            dsu.union(a, b)
-        return Congruence(dsu.labels())
-
-
-def is_congruence(alg: FiniteAlgebra, cong: Congruence,
-                  budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Exhaustive compatibility check through one-argument changes.
-
-    An equivalence is a congruence iff it is closed under every
-    fundamental translation; checked pair by pair.
-    """
-    if cong.size != alg.size:
-        raise ValueError(
-            f"congruence on {cong.size} elements, algebra has {alg.size}")
-    pairs = [(a, b) for a in range(alg.size) for b in range(a + 1, alg.size)
-             if cong.relates(a, b)]
-    work = 0
-    for op in alg.ops:
-        if op.arity == 0:
-            continue
-        for pos in range(op.arity):
-            for consts in product(range(alg.size), repeat=op.arity - 1):
-                work += 1
-                if work % 4096 == 0:
-                    budget.check_time()
-                    budget.check_pairs(work)
-                args = list(consts[:pos]) + [0] + list(consts[pos:])
-                for a, b in pairs:
-                    args[pos] = a
-                    va = op.func(*args)
-                    args[pos] = b
-                    vb = op.func(*args)
-                    if not cong.relates(va, vb):
-                        return False
-    return True
+        pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+        return Congruence(tuple(_generated(size, pairs[:, 0], pairs[:, 1]).tolist()))

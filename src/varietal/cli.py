@@ -26,7 +26,7 @@ from .lattice import congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import LEMMA_ORDER, _skip, build_bn, run_lemma
+from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER, _skip, build_bn, run_lemma
 
 SCHEMA = 1
 
@@ -201,7 +201,7 @@ def _run_width(ma, n: int, lemmas, budget: Budget):
     ctx = None
     for lemma in lemmas:
         if lemma == "k-collapse":
-            if n < 3:
+            if n < KCOLLAPSE_MIN_N:
                 continue
             reports.append(run_lemma(lemma, ma, n, budget=budget))
             continue
@@ -218,6 +218,10 @@ def _run_width(ma, n: int, lemmas, budget: Budget):
 
 
 def _cmd_verify(args, budget: Budget) -> int:
+    if args.lemma == "k-collapse" and args.n[1] < KCOLLAPSE_MIN_N:
+        print(f"error: k-collapse needs a width of {KCOLLAPSE_MIN_N} or more, "
+              f"but --n stops at {args.n[1]}", file=sys.stderr)
+        return 2
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
     lemmas = [args.lemma] if args.lemma else list(LEMMA_ORDER)

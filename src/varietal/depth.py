@@ -9,11 +9,11 @@ equivalence generated by the reached pairs, so one walk serves Cg(a,b),
 depth and f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by
 a path of reached pairs.  The chain depth of (c,d) is the least M such
 that some such path uses only pairs of depth <= M (a minimax path
-weight): the layer of the reached pair whose union, in insertion order,
-first joins c and d.  The all-pairs job takes one pass over the pair
-graph (each pair to its images): a strongly connected component's pairs
-share their Cg, and Tarjan's components, finished sinks first, each join
-their successors' Cg and their own pairs.
+weight), so it is the least layer M whose reached pairs of depth <= M
+generate an equivalence relating c and d.  The all-pairs job takes one
+pass over the pair graph (each pair to its images): a strongly connected
+component's pairs share their Cg, and Tarjan's components, finished
+sinks first, each join their successors' Cg and their own pairs.
 
 Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
@@ -32,9 +32,9 @@ from .algebra import (
     Budget,
     DEFAULT_BUDGET,
     Congruence,
-    DisjointSets,
     FiniteAlgebra,
     TranslationStep,
+    _generated,
 )
 from .subpower import Subpower, _distinct, translation_maps
 
@@ -118,15 +118,19 @@ def pair_depth_graph(target, a: int, b: int, *,
 
 
 def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
-    """Minimax chain depth of `pair` inside the walk's Cg: the depth of the
-    reached pair whose union, in insertion (so layer) order, first joins
-    the ends.  0 when the ends are equal; None when no pair joins them."""
+    """Minimax chain depth of `pair` inside the walk's Cg: the least layer
+    m whose reached pairs of depth <= m (a prefix, as insertion order is
+    layer order) generate an equivalence relating the ends.  0 when the
+    ends are equal; None when no layer relates them."""
     c, d = pair
     if c == d:
         return 0
-    sets = DisjointSets(graph.size)
-    for (x, y), m in graph.depth.items():
-        if sets.union(x, y) and sets.find(c) == sets.find(d):
+    pairs = np.array(list(graph.depth), dtype=np.intp).reshape(-1, 2)
+    layers = np.fromiter(graph.depth.values(), dtype=np.intp, count=len(pairs))
+    for m in range(int(layers[-1]) + 1):
+        upto = pairs[:np.searchsorted(layers, m, side="right")]
+        labels = _generated(graph.size, upto[:, 0], upto[:, 1])
+        if labels[c] == labels[d]:
             return m
     return None
 

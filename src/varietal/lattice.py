@@ -5,8 +5,9 @@ every congruence is the join of the principals it contains, so closing
 the principals (one pass over the pair graph, sinks first: Mal'cev) and
 the identity under joins with a principal yields the whole lattice.  A
 join is the transitive closure of the union of two congruences
-(Congruence.equiv_join), which needs no translations; meets are
-block-label intersections.
+(Congruence.equiv_join, min-label hooking on the label arrays), which
+needs no translations; meets are block-label intersections.  The order
+is read off the label matrix, and the join and meet tables off the order.
 
 Meet-semidistributivity: a ^ b = a ^ c implies a ^ b = a ^ (b v c) for
 all triples.  The check runs over the full triple cube with numpy and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -76,43 +78,42 @@ class Lattice:
         return self.meet_table[x][y]
 
     @staticmethod
-    def from_order(leq: list[list[bool]]) -> "Lattice":
-        """Build join/meet tables from a partial order; raises ValueError
-        when some pair lacks a least upper or greatest lower bound."""
+    def from_order(leq: Sequence[Sequence[bool]]) -> "Lattice":
+        """Build join/meet tables from a partial order, leq[x][y] when
+        x <= y; raises ValueError when some pair lacks a least upper or
+        greatest lower bound.  The meet is the join of the dual order."""
         n = len(leq)
+        leq = np.asarray(leq, dtype=bool).reshape(n, n)
+        join = _least_bounds(leq, "least upper bound")
+        meet = _least_bounds(leq.T, "greatest lower bound")
+        return Lattice(n, tuple(map(tuple, join.tolist())),
+                       tuple(map(tuple, meet.tolist())))
 
-        def least_upper(x: int, y: int) -> int:
-            ub = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            if not ub:
-                raise ValueError(f"no upper bound for {x},{y}")
-            best = ub[0]
-            for z in ub:
-                if leq[z][best]:
-                    best = z
-            if not all(leq[best][z] for z in ub):
-                raise ValueError(f"no least upper bound for {x},{y}")
-            return best
 
-        def greatest_lower(x: int, y: int) -> int:
-            lb = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            if not lb:
-                raise ValueError(f"no lower bound for {x},{y}")
-            best = lb[0]
-            for z in lb:
-                if leq[best][z]:
-                    best = z
-            if not all(leq[z][best] for z in lb):
-                raise ValueError(f"no greatest lower bound for {x},{y}")
-            return best
-
-        jt = tuple(tuple(least_upper(x, y) for y in range(n)) for x in range(n))
-        mt = tuple(tuple(greatest_lower(x, y) for y in range(n)) for x in range(n))
-        return Lattice(n, jt, mt)
+def _least_bounds(leq: np.ndarray, what: str) -> np.ndarray:
+    """[x, y] -> the least z with x, y <= z.  Of a pair's upper bounds the
+    least one has the fewest elements below it, so it is the argmin of
+    those counts over the [x, y, z] cube of bounds; when that argmin is
+    not below every bound, the pair has no least one."""
+    n = len(leq)
+    narrow = np.min_scalar_type(n + 1)
+    bounds = leq[:, None, :] & leq[None, :, :]
+    # the sentinel n + 1 outweighs every count, the top's n included
+    below = np.where(bounds, leq.sum(0, dtype=narrow), narrow.type(n + 1))
+    best = below.argmin(2)
+    ok = bounds.any(2) & (leq[best] >= bounds).all(2)
+    if not ok.all():
+        x, y = np.argwhere(~ok)[0]
+        raise ValueError(f"no {what} for {x},{y}")
+    return best
 
 
 def lattice_of_congruences(congs: list[Congruence]) -> Lattice:
-    """Order a closed set of congruences by refinement."""
-    leq = [[a.refines(b) for b in congs] for a in congs]
+    """Order a closed set of congruences by refinement, off the label
+    matrix: theta <= psi when psi gives each element the label of the
+    least member of its theta-block."""
+    labels = np.array([c.labels for c in congs])
+    leq = [(labels[:, c._least] == labels).all(1) for c in congs]
     return Lattice.from_order(leq)
 
 

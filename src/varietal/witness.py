@@ -518,6 +518,9 @@ def verify_depth(ctx: BnContext) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # k-collapse
 
+KCOLLAPSE_MIN_N = 3
+
+
 def kprime_collapse(ma_k: MachineAlgebra, n: int,
                     budget: Budget = DEFAULT_BUDGET) -> LemmaReport:
     """With the extra K operation, iterating b'_2 = d_n and
@@ -530,8 +533,8 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
     t0 = time.monotonic()
     if not ma_k.with_k:
         raise ValueError("k-collapse needs the algebra compiled with K")
-    if n < 3:
-        raise ValueError("k-collapse is meaningful for n >= 3")
+    if n < KCOLLAPSE_MIN_N:
+        raise ValueError(f"k-collapse is meaningful for n >= {KCOLLAPSE_MIN_N}")
     try:
         ctx = build_bn(ma_k, n, budget)
     except BudgetExceeded as exc:

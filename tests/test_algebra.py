@@ -1,15 +1,16 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from varietal.algebra import (
     Budget,
     BudgetExceeded,
     Congruence,
-    DisjointSets,
     FiniteAlgebra,
     Operation,
-    is_congruence,
     table_op,
 )
 from varietal.subpower import close_subpower
@@ -93,17 +94,10 @@ def test_generate_subuniverse_respects_budget():
         close_subpower(alg, 1, [(1,)], Budget(max_elements=10))
 
 
-def test_disjoint_sets():
-    dsu = DisjointSets(5)
-    assert dsu.union(3, 4)
-    assert not dsu.union(4, 3)
-    dsu.union(0, 2)
-    assert dsu.labels() == (0, 1, 0, 2, 2)
-
-
 def test_congruence_canonical_form():
-    with pytest.raises(ValueError):
-        Congruence((0, 2, 1))
+    for labels in ((0, 2, 1), (1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Congruence(labels)
     cong = Congruence((0, 0, 1, 0, 2))
     assert cong.num_blocks == 3
     assert cong.blocks() == [[0, 1, 3], [2], [4]]
@@ -137,11 +131,31 @@ def test_congruence_spanning_pairs_regenerate():
     assert Congruence.identity(4).spanning_pairs() == []
 
 
-def test_is_congruence():
-    alg = mod_algebra(4)
-    mod2 = Congruence((0, 1, 0, 1))
-    assert is_congruence(alg, mod2)
-    lopsided = Congruence((0, 0, 1, 2))
-    assert not is_congruence(alg, lopsided)
-    assert is_congruence(alg, Congruence.identity(4))
-    assert is_congruence(alg, Congruence.full(4))
+
+@st.composite
+def congruence_pairs(draw):
+    """Two partitions of 1..40 elements, each generated by a random pair
+    list through the oracle's union-find, with one of the pair lists."""
+    size = draw(st.integers(1, 40))
+    pair_lists = st.lists(st.tuples(st.integers(0, size - 1),
+                                    st.integers(0, size - 1)), max_size=60)
+    pairs, more = draw(pair_lists), draw(pair_lists)
+    return (size, pairs, Congruence(oracles.bucket_congruence(size, [], pairs)),
+            Congruence(oracles.bucket_congruence(size, [], more)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruence_pairs())
+def test_congruence_operations_match_brute_force(case):
+    size, pairs, theta, psi = case
+    assert Congruence.from_pairs(size, pairs) == theta
+    assert theta.equiv_join(psi) == Congruence.from_pairs(
+        size, theta.spanning_pairs() + psi.spanning_pairs())
+    numbering = {}
+    for key in zip(theta.labels, psi.labels):
+        numbering.setdefault(key, len(numbering))
+    assert theta.meet(psi).labels == tuple(
+        numbering[key] for key in zip(theta.labels, psi.labels))
+    assert theta.refines(psi) == all(
+        psi.relates(x, y) for x in range(size) for y in range(size)
+        if theta.relates(x, y))

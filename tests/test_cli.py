@@ -154,6 +154,13 @@ def test_verify_one_lemma(tmp_path):
     assert all(r["stats"]["seconds"] == 0.0 for r in doc["reports"])
 
 
+def test_verify_k_collapse_below_its_minimum_width_is_a_usage_error(capsys):
+    assert main(["verify", "--tm", HALTING, "--lemma", "k-collapse",
+                 "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "width of 3 or more" in captured.err
+
+
 def test_verify_deterministic_bytes(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
