@@ -6,8 +6,7 @@ meet-semidistributivity)."""
 from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
     FiniteAlgebra, Operation, TranslationStep, table_op
 from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
-    pair_depth_graph, principal_congruence, principal_congruences, \
-    translation_system
+    pair_depth_graph, principal_congruences, translation_system
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import Element, MachineAlgebra, compile_machine, \

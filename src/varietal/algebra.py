@@ -102,13 +102,12 @@ def table_op(symbol: str, arity: int, size: int,
 
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """Universe 0..size-1 plus named operations.  `zero` is the index of a
-    known absorbing bottom element, if any.  `automata` caches the
-    coordinate automata of its operations (see `subpower`)."""
+    """Universe 0..size-1 plus named operations.  `automata` caches the
+    coordinate automata of its operations (see `subpower`).  On the element
+    ids of a subpower, operations evaluate through `Subpower.eval`."""
 
     size: int
     ops: tuple[Operation, ...]
-    zero: int | None = None
     automata: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):

@@ -46,6 +46,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _count(text: str) -> int:
+    """A non-negative int: a step or budget cap, where 0 is valid."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _budget_seconds() -> float | None:
     """VARIETAL_BUDGET_SECONDS in seconds, None when unset, NaN when it is
     not a number (a deadline of NaN would never fire)."""
@@ -85,13 +96,16 @@ def _exit_code(reports) -> int:
     return 0
 
 
-def _add_common(p, *, n_flag=True):
+def _add_caps(p):
+    p.add_argument("--max-elements", type=_count, default=1_000_000)
+    p.add_argument("--max-pairs", type=_count, default=5_000_000)
+
+
+def _add_common(p):
     p.add_argument("--tm", required=True, help="machine description file")
-    if n_flag:
-        p.add_argument("--n", type=_parse_range, default=(2, 4),
-                       help="width or inclusive range, e.g. 3 or 2..4")
-    p.add_argument("--max-elements", type=int, default=1_000_000)
-    p.add_argument("--max-pairs", type=int, default=5_000_000)
+    p.add_argument("--n", type=_parse_range, default=(2, 4),
+                   help="width or inclusive range, e.g. 3 or 2..4")
+    _add_caps(p)
     p.add_argument("--timings", action="store_true",
                    help="emit real wall-clock seconds in stats")
     p.add_argument("--out", help="write the JSON document here")
@@ -105,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tm_sub = tm_p.add_subparsers(dest="tm_command", required=True)
     run_p = tm_sub.add_parser("run", help="run from the empty tape")
     run_p.add_argument("file", help="machine description file")
-    run_p.add_argument("--max-steps", type=int, default=10_000)
+    run_p.add_argument("--max-steps", type=_count, default=10_000)
     run_p.add_argument("--out")
 
     alg_p = sub.add_parser("algebra", help="algebra compilation")
@@ -136,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sd_p.add_argument("--n", type=_parse_range, default=(2, 2))
     sd_p.add_argument("--fixture", choices=["m3"],
                       help="check the built-in failing lattice instead")
-    sd_p.add_argument("--max-elements", type=int, default=1_000_000)
-    sd_p.add_argument("--max-pairs", type=int, default=5_000_000)
+    _add_caps(sd_p)
     sd_p.add_argument("--out")
     return top
 
@@ -179,16 +192,12 @@ def _cmd_bn_build(args, budget: Budget) -> int:
     tm = load_tm(args.tm)
     ma = compile_machine(tm, with_k=args.with_k)
     rows = []
-    try:
-        for n in range(args.n[0], args.n[1] + 1):
-            ctx = build_bn(ma, n, budget)
-            rows.append({"n": n, "universe": ctx.subpower.size,
-                         "generators": 2 * n - 1,
-                         "alphabet": [ma.names[v] for v in
-                                      ctx.subpower.coordinate_alphabet()]})
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+    for n in range(args.n[0], args.n[1] + 1):
+        ctx = build_bn(ma, n, budget)
+        rows.append({"n": n, "universe": ctx.subpower.size,
+                     "generators": 2 * n - 1,
+                     "alphabet": [ma.names[v] for v in
+                                  ctx.subpower.coordinate_alphabet()]})
     doc = {"schema": SCHEMA, "command": "bn build", "tm": args.tm,
            "with_k": args.with_k, "widths": rows}
     _emit(doc, args.out)
@@ -267,28 +276,23 @@ def _cmd_sd_meet(args, budget: Budget) -> int:
     ma = compile_machine(tm)
     rows = []
     all_ok = True
-    try:
-        for n in range(args.n[0], args.n[1] + 1):
-            ctx = build_bn(ma, n, budget)
-            try:
-                congs = congruence_lattice(ctx.subpower, system=ctx.system(),
-                                           budget=budget)
-            except ValueError as exc:
-                # a meet outside the generated lattice: a failed check
-                all_ok = False
-                rows.append({"n": n, "universe": ctx.subpower.size,
-                             "congruences": None, "sd_meet": False,
-                             "witness": None, "error": str(exc)})
-                continue
-            lat = lattice_of_congruences(congs)
-            sd, witness = is_meet_semidistributive(lat)
-            all_ok = all_ok and sd
+    for n in range(args.n[0], args.n[1] + 1):
+        ctx = build_bn(ma, n, budget)
+        try:
+            congs = congruence_lattice(ctx.system(), budget=budget)
+        except ValueError as exc:
+            # a meet outside the generated lattice: a failed check
+            all_ok = False
             rows.append({"n": n, "universe": ctx.subpower.size,
-                         "congruences": len(congs), "sd_meet": sd,
-                         "witness": list(witness) if witness else None})
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+                         "congruences": None, "sd_meet": False,
+                         "witness": None, "error": str(exc)})
+            continue
+        lat = lattice_of_congruences(congs)
+        sd, witness = is_meet_semidistributive(lat)
+        all_ok = all_ok and sd
+        rows.append({"n": n, "universe": ctx.subpower.size,
+                     "congruences": len(congs), "sd_meet": sd,
+                     "witness": list(witness) if witness else None})
     doc = {"schema": SCHEMA, "command": "sd-meet", "tm": args.tm,
            "n_range": [args.n[0], args.n[1]], "lattices": rows,
            "pass": all_ok}

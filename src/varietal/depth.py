@@ -19,6 +19,10 @@ Pairs {x,x} are recorded but never expanded: they cannot witness a
 nontrivial chain edge.  Enumeration order is canonical (operation order,
 position ascending, constants lexicographic), so layers, witnesses and
 reports are reproducible.
+
+As Mal'cev's lemma needs only the translations, every engine here takes
+a TranslationSystem and nothing else of the algebra;
+`translation_system` builds one for any FiniteAlgebra or Subpower.
 """
 
 from __future__ import annotations
@@ -62,12 +66,27 @@ def translation_system(target: FiniteAlgebra | Subpower,
     return TranslationSystem(*translation_maps(target, symbols, budget))
 
 
-def _pair_bfs(table: np.ndarray, a: int, b: int,
-              budget: Budget) -> dict[tuple[int, int], int]:
-    """A layer at a time: its pairs' images under every map, gathered from
-    table columns as codes min * N + max, in chunks of at most
-    max_signatures cells (the cell budget of the automaton layer).  New
-    pairs are only appended, so depths never decrease in insertion order."""
+@dataclass(eq=False)
+class PairDepthGraph:
+    """Minimum translation counts for every unordered pair reached from
+    the source pair, in layer order, on a universe of `size` elements."""
+
+    size: int
+    depth: dict[tuple[int, int], int]
+
+    def congruence(self) -> Congruence:
+        """Cg of the source pair: the equivalence the reached pairs generate."""
+        return Congruence.from_pairs(self.size, self.depth)
+
+
+def pair_depth_graph(system: TranslationSystem, a: int, b: int, *,
+                     budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
+    """The pair walk from (a, b), a layer at a time: its pairs' images
+    under every map, gathered from table columns as codes min * N + max,
+    in chunks of at most max_signatures cells (the cell budget of the
+    automaton layer).  New pairs are only appended, so depths never
+    decrease in insertion order."""
+    table = system.table
     size = table.shape[1]
     source = (a, b) if a <= b else (b, a)
     depth = {source: 0}
@@ -93,28 +112,7 @@ def _pair_bfs(table: np.ndarray, a: int, b: int,
         px, py = np.divmod(new, size)
         depth.update(dict.fromkeys(zip(px.tolist(), py.tolist()), d))
         seen, frontier = _distinct(np.concatenate([seen, new])), new
-    return depth
-
-
-@dataclass(eq=False)
-class PairDepthGraph:
-    """Minimum translation counts for every unordered pair reached from
-    the source pair, in layer order, on a universe of `size` elements."""
-
-    size: int
-    depth: dict[tuple[int, int], int]
-
-    def congruence(self) -> Congruence:
-        """Cg of the source pair: the equivalence the reached pairs generate."""
-        return Congruence.from_pairs(self.size, self.depth)
-
-
-def pair_depth_graph(target, a: int, b: int, *,
-                     system: TranslationSystem | None = None,
-                     budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
-    system = system or translation_system(target, None, budget)
-    return PairDepthGraph(system.table.shape[1],
-                          _pair_bfs(system.table, a, b, budget))
+    return PairDepthGraph(size, depth)
 
 
 def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
@@ -133,14 +131,6 @@ def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
         if labels[c] == labels[d]:
             return m
     return None
-
-
-def principal_congruence(target, a: int, b: int, *,
-                         system: TranslationSystem | None = None,
-                         budget: Budget = DEFAULT_BUDGET) -> Congruence:
-    """Cg(a,b): the equivalence generated by the pairs reached from (a,b)."""
-    return pair_depth_graph(target, a, b, system=system,
-                            budget=budget).congruence()
 
 
 def _pair_graph(table: np.ndarray, pairs: np.ndarray,
@@ -208,15 +198,14 @@ def _components(indptr: list[int], successors: memoryview, budget: Budget):
                 yield members
 
 
-def principal_congruences(target, pairs: Iterable[tuple[int, int]], *,
-                          system: TranslationSystem | None = None,
+def principal_congruences(system: TranslationSystem,
+                          pairs: Iterable[tuple[int, int]], *,
                           budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """Cg(x, y) for every listed pair, in one pass over the pair graph (see
     the module docstring).  An image that is not listed raises ValueError;
     all pairs, or the pairs inside a congruence's blocks, are closed."""
     pairs = np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2)
     budget.check_pairs(len(pairs))
-    system = system or translation_system(target, None, budget)
     indptr, successors = _pair_graph(system.table, pairs, budget)
     size, xs, ys = system.table.shape[1], pairs[:, 0].tolist(), pairs[:, 1].tolist()
     congs = [Congruence.identity(size)]

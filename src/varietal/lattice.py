@@ -23,24 +23,24 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Budget, Congruence, DEFAULT_BUDGET
-from .depth import TranslationSystem, principal_congruences, translation_system
+from .depth import TranslationSystem, principal_congruences
 
 
-def congruence_lattice(target, *, system: TranslationSystem | None = None,
+def congruence_lattice(system: TranslationSystem, *,
                        budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
-    """All congruences of the target algebra, canonically sorted.
+    """All congruences of the algebra whose translation system is given,
+    canonically sorted.
 
     Takes the principal congruences of every pair from one pass over the
     pair graph, then closes them under joins.  Meets come for free (label
     intersection); one outside the set raises ValueError.
     """
-    if system is None:
-        system = translation_system(target, budget=budget)
-    pairs = list(combinations(range(target.size), 2))
-    cgs = principal_congruences(target, pairs, system=system, budget=budget)
+    size = system.table.shape[1]
+    pairs = list(combinations(range(size), 2))
+    cgs = principal_congruences(system, pairs, budget=budget)
     # each distinct principal congruence, with the first pair generating it
     principals = {cg.labels: (cg, pair) for pair, cg in reversed(list(zip(pairs, cgs)))}
-    found = {cg.labels: cg for cg in [Congruence.identity(target.size), *cgs]}
+    found = {cg.labels: cg for cg in [Congruence.identity(size), *cgs]}
     # the join closure of a generating set needs joins with generators
     # only, and theta v Cg(x,y) = theta when theta relates x and y
     work = list(found.values())
@@ -63,19 +63,20 @@ def congruence_lattice(target, *, system: TranslationSystem | None = None,
     return congs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
-    """A finite lattice given by dense join and meet tables."""
+    """A finite lattice given by dense join and meet tables, read-only
+    intp arrays."""
 
     size: int
-    join_table: tuple[tuple[int, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
+    join_table: np.ndarray
+    meet_table: np.ndarray
 
     def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
+        return int(self.join_table[x, y])
 
     def meet(self, x: int, y: int) -> int:
-        return self.meet_table[x][y]
+        return int(self.meet_table[x, y])
 
     @staticmethod
     def from_order(leq: Sequence[Sequence[bool]]) -> "Lattice":
@@ -86,8 +87,7 @@ class Lattice:
         leq = np.asarray(leq, dtype=bool).reshape(n, n)
         join = _least_bounds(leq, "least upper bound")
         meet = _least_bounds(leq.T, "greatest lower bound")
-        return Lattice(n, tuple(map(tuple, join.tolist())),
-                       tuple(map(tuple, meet.tolist())))
+        return Lattice(n, join, meet)
 
 
 def _least_bounds(leq: np.ndarray, what: str) -> np.ndarray:
@@ -101,6 +101,7 @@ def _least_bounds(leq: np.ndarray, what: str) -> np.ndarray:
     # the sentinel n + 1 outweighs every count, the top's n included
     below = np.where(bounds, leq.sum(0, dtype=narrow), narrow.type(n + 1))
     best = below.argmin(2)
+    best.flags.writeable = False
     ok = bounds.any(2) & (leq[best] >= bounds).all(2)
     if not ok.all():
         x, y = np.argwhere(~ok)[0]
@@ -124,8 +125,7 @@ def is_meet_semidistributive(lat: Lattice) -> tuple[bool, tuple[int, int, int] |
     lexicographic order).
     """
     n = lat.size
-    meet = np.asarray(lat.meet_table, dtype=np.int64)
-    join = np.asarray(lat.join_table, dtype=np.int64)
+    meet, join = lat.meet_table, lat.join_table
     ab = meet[:, :, None]                      # [a, b, 1]
     ac = meet[:, None, :]                      # [a, 1, c]
     a_idx = np.arange(n)[:, None, None]

@@ -113,7 +113,6 @@ class MachineAlgebra:
         self.index = {el: i for i, el in enumerate(self.elements)}
         self.names = tuple(el.name() for el in self.elements)
         self._by_name = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = 0
 
         # bar involution on letters and cells; -1 elsewhere
         bar = [-1] * self.size
@@ -134,7 +133,7 @@ class MachineAlgebra:
 
         self._tables: dict[str, bytes] = {}   # filled by _np_table
         ops = self._build_ops()
-        self.algebra = FiniteAlgebra(size=self.size, ops=ops, zero=0)
+        self.algebra = FiniteAlgebra(size=self.size, ops=ops)
 
     # -- naming ------------------------------------------------------------
 

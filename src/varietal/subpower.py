@@ -1,5 +1,10 @@
 """Subalgebras of finite powers: closure, images, translation maps.
 
+A Subpower evaluates its operations on raw tuples or on element ids and
+builds no induced algebra: by Mal'cev's lemma the congruence engines
+need only its translation maps (`translation_maps`, or
+`depth.translation_system` for any algebra).
+
 Operations act coordinatewise, so bulk work runs on the base operation
 restricted to the values occurring in coordinates (the alphabet).  Each
 operation gets a layered automaton whose level-j states are suffix classes:
@@ -158,46 +163,21 @@ def _automaton(base: FiniteAlgebra, op: Operation, alphabet: tuple[int, ...],
 class Subpower:
     """A subuniverse of base^width, closed under every operation.
 
-    elements are sorted lexicographically; index maps tuple -> position.
-    algebra is the induced FiniteAlgebra on the reindexed universe.
+    elements are sorted lexicographically; index maps tuple -> position,
+    the element id.  Operations act on raw tuples (`eval_tuple`) or on
+    element ids (`eval`).
     """
 
     base: FiniteAlgebra
     width: int
     elements: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int] = field(init=False)
-    algebra: FiniteAlgebra = field(init=False)
 
     def __post_init__(self):
         self.index = {t: i for i, t in enumerate(self.elements)}
-        zero = None
-        if self.base.zero is not None:
-            zero = self.index.get((self.base.zero,) * self.width)
-        self.algebra = FiniteAlgebra(
-            size=len(self.elements),
-            ops=tuple(self._induced(op) for op in self.base.ops),
-            zero=zero,
-        )
-
-    def _induced(self, op: Operation) -> Operation:
-        elements, index, width = self.elements, self.index, self.width
-        base_func = op.func
-        if op.arity == 0:
-            t = (base_func(),) * width
-            if t not in index:
+        for op in self.base.ops:
+            if op.arity == 0 and (op.func(),) * self.width not in self.index:
                 raise ValueError(f"{op.symbol} constant escapes the subuniverse")
-            const = index[t]
-            return Operation(op.symbol, 0, lambda: const)
-
-        def func(*ids):
-            tups = [elements[a] for a in ids]
-            out = tuple(base_func(*(tp[i] for tp in tups)) for i in range(width))
-            v = index.get(out)
-            if v is None:
-                raise ValueError(f"{op.symbol} image {out} escapes the subuniverse")
-            return v
-
-        return Operation(op.symbol, op.arity, func)
 
     @property
     def size(self) -> int:
@@ -213,6 +193,17 @@ class Subpower:
         if len(args) != op.arity:
             raise ValueError(f"{symbol} takes {op.arity} arguments")
         return tuple(op.func(*(a[i] for a in args)) for i in range(self.width))
+
+    def eval(self, symbol: str, ids: Sequence[int]) -> int:
+        """Apply a base operation to element ids: the id of the image of
+        their tuples, which must lie in the subuniverse."""
+        for i in ids:
+            if not 0 <= i < self.size:
+                raise ValueError(f"element index {i} out of range")
+        out = self.eval_tuple(symbol, [self.elements[i] for i in ids])
+        if out not in self.index:
+            raise ValueError(f"{symbol} image {out} escapes the subuniverse")
+        return self.index[out]
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -35,8 +35,7 @@ import numpy as np
 
 from .algebra import Budget, BudgetExceeded, DEFAULT_BUDGET, TranslationStep
 from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
-    pair_depth_graph, principal_congruence, principal_congruences, \
-    translation_system
+    pair_depth_graph, principal_congruences, translation_system
 from .machine_algebra import MachineAlgebra, vector_evaluator
 from .subpower import Subpower, close_subpower, op_image
 
@@ -114,8 +113,8 @@ class BnContext:
     def walk(self) -> PairDepthGraph:
         """The pair walk from (a, 0), shared by atomic, chain, f-char and depth."""
         if self._walk is None:
-            self._walk = pair_depth_graph(self.subpower, self.a_id, self.zero_id,
-                                          system=self.system(), budget=self.budget)
+            self._walk = pair_depth_graph(self.system(), self.a_id, self.zero_id,
+                                          budget=self.budget)
         return self._walk
 
     def render(self, raw: tuple[int, ...]) -> list[str]:
@@ -276,7 +275,7 @@ def verify_atomicity(ctx: BnContext) -> LemmaReport:
         pairs = [p for block in theta.blocks() for p in combinations(block, 2)]
         bad = [{"pair": [ctx.render_id(u), ctx.render_id(v)]}
                for (u, v), psi in zip(pairs, principal_congruences(
-                   sp, pairs, system=ctx.system(), budget=ctx.budget))
+                   ctx.system(), pairs, budget=ctx.budget))
                if not theta.refines(psi)]
     except BudgetExceeded as exc:
         return _skip("atomic", ctx.n, exc, t0, sp.size)
@@ -302,8 +301,8 @@ def explicit_chain_polynomial(ctx: BnContext):
     x, y = ctx.a_id, ctx.zero_id
     for step in steps:
         bl, dl = step.constants
-        x = sp.algebra.eval("J'", (bl, dl, x))
-        y = sp.algebra.eval("J'", (bl, dl, y))
+        x = sp.eval("J'", (bl, dl, x))
+        y = sp.eval("J'", (bl, dl, y))
     return steps, x, y
 
 
@@ -319,8 +318,8 @@ def verify_chain(ctx: BnContext) -> LemmaReport:
         bl, dl = ctx.id_of(ctx.b[l]), ctx.id_of(ctx.d[l])
         prev_b = ctx.id_of(ctx.b[l - 1])
         prev_c = ctx.id_of(ctx.c[l - 1])
-        got_b = sp.algebra.eval("J'", (bl, dl, prev_b))
-        got_c = sp.algebra.eval("J'", (bl, dl, prev_c))
+        got_b = sp.eval("J'", (bl, dl, prev_b))
+        got_c = sp.eval("J'", (bl, dl, prev_c))
         if got_b != ctx.id_of(ctx.b[l]):
             bad.append({"step": l, "expected": ctx.render(ctx.b[l]),
                         "got": ctx.render_id(got_b)})
@@ -406,11 +405,9 @@ def verify_subalgebra_omission(ctx: BnContext, k: int) -> LemmaReport:
         witnesses.append({"omitted": ctx.render(ctx.d[k]),
                           "closure_size": sub.size,
                           "full_size": sp.size})
-        a_id = sub.index[ctx.a]
-        zero_id = sub.index[ctx.zero_tuple]
-        system = translation_system(sub, budget=ctx.budget)
-        theta = principal_congruence(sub, a_id, zero_id, system=system,
-                                     budget=ctx.budget)
+        theta = pair_depth_graph(translation_system(sub, budget=ctx.budget),
+                                 sub.index[ctx.a], sub.index[ctx.zero_tuple],
+                                 budget=ctx.budget).congruence()
         b_id = sub.index.get(ctx.b[n])
         if b_id is None:
             raise RuntimeError("b_n is a generator, must be present")
@@ -546,7 +543,7 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
     for k in range(2, n):
         args = (ctx.id_of(ctx.b[n]), b_prime, ctx.id_of(ctx.d[n - (k - 1)]))
         try:
-            b_prime = sp.algebra.eval("K", args)
+            b_prime = sp.eval("K", args)
         except ValueError as exc:
             return LemmaReport("k-collapse", n, passed=False,
                                counterexamples=[{"escape": str(exc)}],
@@ -565,14 +562,16 @@ def kprime_collapse(ma_k: MachineAlgebra, n: int,
         bad.append({"structure_item_2_not_violated": ctx.render(raw)})
     before = len(bad)
     b_id, c_id = ctx.id_of(b_n), ctx.id_of(c_n)
-    lam_a = sp.algebra.eval("J'", (b_id, b_prime, ctx.a_id))
-    lam_0 = sp.algebra.eval("J'", (b_id, b_prime, ctx.zero_id))
+    lam_a = sp.eval("J'", (b_id, b_prime, ctx.a_id))
+    lam_0 = sp.eval("J'", (b_id, b_prime, ctx.zero_id))
     if lam_a != b_id:
         bad.append({"lambda(a)": ctx.render_id(lam_a)})
     if lam_0 != c_id:
         bad.append({"lambda(0)": ctx.render_id(lam_0)})
-    # lambda once more, per coordinate on the raw tuples
-    images = [sp.eval_tuple("J'", (b_n, raw, x)) for x in (ctx.a, ctx.zero_tuple)]
+    # lambda once more, by the dense J' table on the 2n coordinates of a, 0
+    lam = vector_evaluator(ctx.algebra, "J'")(b_n * 2, raw * 2,
+                                              ctx.a + ctx.zero_tuple).tolist()
+    images = [tuple(lam[:n]), tuple(lam[n:])]
     if images != [b_n, c_n]:
         bad.append({"lambda_per_coordinate": [ctx.render(v) for v in images]})
     # lambda maps {a, 0} onto {b_n, c_n}, a layer-1 pair of the pair walk

@@ -14,7 +14,7 @@ import altops
 import oracles
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.cli import main
-from varietal.depth import principal_congruence, principal_congruences, \
+from varietal.depth import pair_depth_graph, principal_congruences, \
     translation_system
 from varietal.lattice import (
     congruence_lattice,
@@ -314,7 +314,7 @@ def test_criterion_12_k_collapse(ma2_k):
 def test_criterion_13_sd_meet(ctx2, ctx3):
     t0 = time.monotonic()
     for ctx, expected in ((ctx2, 4), (ctx3, 8)):
-        congs = congruence_lattice(ctx.subpower, system=ctx.system())
+        congs = congruence_lattice(ctx.system())
         assert len(congs) == expected
         sd, witness = is_meet_semidistributive(lattice_of_congruences(congs))
         assert sd and witness is None
@@ -345,12 +345,12 @@ def test_criterion_14_oracle_equivalence(ctx2, ctx3):
     t0 = time.monotonic()
     for i in range(50):
         alg, tables, (a, b) = random_instance(1000 + i)
-        theta = principal_congruence(alg, a, b)
+        theta = pair_depth_graph(translation_system(alg), a, b).congruence()
         labels = oracles.bucket_congruence(alg.size, tables, [(a, b)])
         assert theta.labels == labels, f"instance {i}"
     for ctx in (ctx2, ctx3):
-        theta = principal_congruence(ctx.subpower, ctx.a_id, ctx.zero_id,
-                                     system=ctx.system())
+        theta = pair_depth_graph(ctx.system(), ctx.a_id,
+                                 ctx.zero_id).congruence()
         labels = oracles.bucket_congruence(
             ctx.subpower.size, oracles.subpower_op_values(ctx.subpower),
             [(ctx.a_id, ctx.zero_id)])
@@ -363,7 +363,7 @@ def test_principal_congruences_match_on_random_instances():
     for i in range(50):
         alg, tables, _ = random_instance(1000 + i)
         pairs = list(combinations(range(alg.size), 2))
-        got = principal_congruences(alg, pairs, system=translation_system(alg))
+        got = principal_congruences(translation_system(alg), pairs)
         for (x, y), theta in zip(pairs, got):
             assert theta.labels == oracles.bucket_congruence(
                 alg.size, tables, [(x, y)]), (i, x, y)

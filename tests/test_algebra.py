@@ -20,7 +20,7 @@ def mod_algebra(n):
     """(Z_n, successor, +) for exercising the generic machinery."""
     succ = Operation("succ", 1, lambda x: (x + 1) % n)
     add = Operation("add", 2, lambda x, y: (x + y) % n)
-    return FiniteAlgebra(size=n, ops=(succ, add), zero=None)
+    return FiniteAlgebra(size=n, ops=(succ, add))
 
 
 def test_budget_caps():

@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varietal import cli
 from varietal.cli import _exit_code, _parse_range, main
+from varietal.tm import format_tm, machine
 from varietal.witness import LemmaReport
 from conftest import FIXTURES
 
@@ -94,6 +99,29 @@ def test_usage_errors(capsys):
     assert main(["verify", "--tm", HALTING, "--lemma", "structure",
                  "--n", "2", "--jobs", "2"]) == 2       # no such option
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tm", "run", "--max-steps", "-5"],
+    ["depth", "--max-elements", "-1"],
+    ["verify", "--max-pairs", "-1"],
+    ["bn", "build", "--max-elements", "-3"],
+    ["sd-meet", "--max-pairs", "-1"],
+    ["tm", "run", "--max-steps", "ten"],
+], ids=" ".join)
+def test_limits_that_are_negative_or_not_integers_are_usage_errors(argv, capsys):
+    tm_file = [HALTING] if argv[0] == "tm" else ["--tm", HALTING]
+    assert main([*argv, *tm_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
+    assert f"argument {argv[-2]}: " in err
+
+
+def test_zero_limits_stay_valid(capsys):
+    assert main(["tm", "run", HALTING, "--max-steps", "0"]) == 0
+    assert capsys.readouterr().out == "RUNNING\n"
+    assert main(["depth", "--tm", HALTING, "--n", "2", "--max-elements", "0"]) == 3
+    assert "max_elements" in capsys.readouterr().out
 
 
 # -- algebra build -------------------------------------------------------------
@@ -248,6 +276,9 @@ def test_tiny_time_budget_exits_3_without_a_traceback(argv):
                          timeout=120)
     assert run.returncode == 3
     assert b"Traceback" not in run.stderr
+    if argv[0] in ("bn", "sd-meet"):
+        lines = run.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("budget exhausted: ")
 
 
 def test_long_tm_run_stops_at_its_deadline():
@@ -345,10 +376,10 @@ def test_sd_meet_verdicts_survive_optimized_mode():
 def test_sd_meet_reports_an_escaped_meet(tmp_path, monkeypatch):
     real = cli.congruence_lattice
 
-    def escaping_at_width_3(target, **kwargs):
-        if target.size == 14:
+    def escaping_at_width_3(system, **kwargs):
+        if system.table.shape[1] == 14:
             raise ValueError("meet escaped the generated lattice")
-        return real(target, **kwargs)
+        return real(system, **kwargs)
 
     monkeypatch.setattr(cli, "congruence_lattice", escaping_at_width_3)
     out = tmp_path / "sd.json"
@@ -381,3 +412,50 @@ def test_commands_do_not_import_numpy_ma():
     run = subprocess.run([sys.executable, "-c", code, HALTING], env=env,
                          capture_output=True, timeout=120)
     assert run.stdout.decode().split() == ["[0,", "0]", "False"], run.stderr
+
+
+# -- generated machines -----------------------------------------------------------
+
+PIPELINE = (["verify", "--n", "2..3"], ["sd-meet", "--n", "2..3"])
+
+
+def pipeline_docs(tm_path, out_dir):
+    """(exit code, document without its "tm" echo) per PIPELINE command."""
+    docs = []
+    for i, argv in enumerate(PIPELINE):
+        out = Path(out_dir) / f"{i}.json"
+        code = main([*argv, "--tm", str(tm_path), "--out", str(out)])
+        doc = read_doc(out)
+        assert doc.pop("tm") == str(tm_path)
+        docs.append((code, doc))
+    return docs
+
+
+@pytest.fixture(scope="module")
+def halting_pipeline(tmp_path_factory):
+    return pipeline_docs(HALTING, tmp_path_factory.mktemp("halting"))
+
+
+@st.composite
+def machines(draw):
+    """Machines of 2 to 4 states, each (state, read) given at most one
+    instruction, any of them possibly none."""
+    states = ["halt", "start", "mid", "back"][:draw(st.integers(2, 4))]
+    keys = draw(st.lists(st.sampled_from(
+        [(s, r) for s in states[1:] for r in (0, 1)]), unique=True))
+    return machine(states, [(s, r, draw(st.integers(0, 1)),
+                             draw(st.sampled_from("LR")),
+                             draw(st.sampled_from(states))) for s, r in keys])
+
+
+@settings(max_examples=8, deadline=None)
+@given(machines())
+def test_generated_machines_pass_the_pipeline_like_the_halting_fixture(
+        halting_pipeline, tm):
+    """On B_n's alphabet {0, D, bD} every operation that depends on the
+    machine is constant 0, so verify and sd-meet give the halting
+    fixture's documents, apart from the machine file they echo."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = Path(out_dir) / "generated.tm"
+        path.write_text(format_tm(tm), encoding="utf-8")
+        assert pipeline_docs(path, out_dir) == halting_pipeline

@@ -6,18 +6,21 @@ import pytest
 
 import oracles
 from varietal import build_bn
-from varietal.algebra import Budget, BudgetExceeded
+from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.depth import (
     PairDepthGraph,
-    _pair_bfs,
     maltsev_depth,
     pair_depth_graph,
-    principal_congruence,
     principal_congruences,
     TranslationSystem,
     translation_system,
 )
 from varietal.witness import verify_f_characterization
+
+
+def cg(system, a, b, **kwargs):
+    """Cg(a, b): the equivalence the pair walk from (a, b) generates."""
+    return pair_depth_graph(system, a, b, **kwargs).congruence()
 
 
 def layered_bfs(maps, a, b, cap):
@@ -71,8 +74,7 @@ def minimax_closure(depth, size):
 def test_pair_bfs_matches_layered_rederivation(ctx2, ctx3, ctx4):
     for ctx in (ctx2, ctx3, ctx4):
         system = ctx.system()
-        graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
-                                 system=system)
+        graph = pair_depth_graph(system, ctx.a_id, ctx.zero_id)
         expected = layered_bfs(system.table.tolist(), ctx.a_id, ctx.zero_id,
                                None)
         assert graph.depth == expected, ctx.n
@@ -94,15 +96,14 @@ def test_pair_bfs_chunks_follow_the_cell_budget_not_max_pairs(ctx3):
     # max_pairs only lets the depth dict grow, it sizes no array
     system = ctx3.system()
     maps = len(system.table)
-    full = pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
-                            system=system).depth
+    full = pair_depth_graph(system, ctx3.a_id, ctx3.zero_id).depth
     for cells in (maps, 3 * maps):
         table = system.table.view(GatherLog)
         table.log = []
         logged = TranslationSystem(table, system.steps)
         budget = Budget(max_pairs=10 ** 12, max_signatures=cells)
-        assert pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
-                                system=logged, budget=budget).depth == full
+        assert pair_depth_graph(logged, ctx3.a_id, ctx3.zero_id,
+                                budget=budget).depth == full
         assert max(table.log) == cells // maps
 
 
@@ -116,10 +117,9 @@ def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2, ctx3, ctx4):
 
 
 def test_reached_pairs_lie_in_the_principal_congruence(ctx2):
-    sp = ctx2.subpower
     system = ctx2.system()
-    graph = pair_depth_graph(sp, ctx2.a_id, ctx2.zero_id, system=system)
-    theta = principal_congruence(sp, ctx2.a_id, ctx2.zero_id, system=system)
+    graph = pair_depth_graph(system, ctx2.a_id, ctx2.zero_id)
+    theta = cg(system, ctx2.a_id, ctx2.zero_id)
     for x, y in graph.depth:
         assert theta.relates(x, y)
     nontrivial = {e for bl in theta.blocks() if len(bl) > 1 for e in bl}
@@ -135,7 +135,7 @@ def test_principal_congruence_matches_bucket_oracle(ctx2, ctx3, b3_op_values):
     cases += [(ctx3, b3_op_values, x, ctx3.zero_id)
               for x in range(ctx3.subpower.size)]
     for ctx, tables, x, y in cases:
-        theta = principal_congruence(ctx.subpower, x, y, system=ctx.system())
+        theta = cg(ctx.system(), x, y)
         labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
         assert theta.labels == labels, (ctx.n, x, y)
 
@@ -144,7 +144,7 @@ def test_principal_congruences_match_bucket_oracle(ctx2, ctx3, b3_op_values):
     for ctx, tables in ((ctx2, oracles.subpower_op_values(ctx2.subpower)),
                         (ctx3, b3_op_values)):
         pairs = list(combinations(range(ctx.subpower.size), 2))
-        got = principal_congruences(ctx.subpower, pairs, system=ctx.system())
+        got = principal_congruences(ctx.system(), pairs)
         for (x, y), theta in zip(pairs, got):
             labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
             assert theta.labels == labels, (ctx.n, x, y)
@@ -153,10 +153,10 @@ def test_principal_congruences_match_bucket_oracle(ctx2, ctx3, b3_op_values):
 def test_principal_congruences_match_one_closure_per_pair(ctx4):
     sp, system = ctx4.subpower, ctx4.system()
     pairs = list(combinations(range(sp.size), 2))
-    got = principal_congruences(sp, pairs, system=system)
+    got = principal_congruences(system, pairs)
     assert len(pairs) == len(got) == 435
     for (x, y), theta in zip(pairs, got):
-        assert theta == principal_congruence(sp, x, y, system=system), (x, y)
+        assert theta == cg(system, x, y), (x, y)
 
 
 def test_principal_congruences_take_pairs_in_any_order_and_orientation(ctx3):
@@ -165,35 +165,35 @@ def test_principal_congruences_take_pairs_in_any_order_and_orientation(ctx3):
     shuffled = [(y, x) if i % 3 else (x, y) for i, (x, y) in enumerate(pairs[::-1])]
     # a repeated and a reflexive pair ride along
     shuffled += [shuffled[0], (4, 4)]
-    got = principal_congruences(sp, shuffled, system=system)
+    got = principal_congruences(system, shuffled)
     for (x, y), theta in zip(shuffled, got):
-        assert theta == principal_congruence(sp, x, y, system=system), (x, y)
-    assert principal_congruences(sp, [], system=system) == []
+        assert theta == cg(system, x, y), (x, y)
+    assert principal_congruences(system, []) == []
 
 
 def test_principal_congruences_reject_pairs_not_closed_under_images(ctx3):
     sp, system = ctx3.subpower, ctx3.system()
-    theta = principal_congruence(sp, ctx3.a_id, ctx3.zero_id, system=system)
+    theta = cg(system, ctx3.a_id, ctx3.zero_id)
     inside = [p for block in theta.blocks() for p in combinations(block, 2)]
     assert [psi.refines(theta) for psi in
-            principal_congruences(sp, inside, system=system)] == [True] * len(inside)
+            principal_congruences(system, inside)] == [True] * len(inside)
     outside = next((x, y) for x, y in combinations(range(sp.size), 2)
                    if not theta.relates(x, y))
     with pytest.raises(ValueError, match=rf"of pair \[{outside[0]}, {outside[1]}\] "
                                          "is not a listed pair"):
-        principal_congruences(sp, [outside], system=system)
+        principal_congruences(system, [outside])
 
 
 def test_principal_congruences_charge_pairs_links_and_time(ctx3):
     sp, system = ctx3.subpower, ctx3.system()
     pairs = list(combinations(range(sp.size), 2))
     with pytest.raises(BudgetExceeded, match="91 > 90"):
-        principal_congruences(sp, pairs, system=system, budget=Budget(max_pairs=90))
+        principal_congruences(system, pairs, budget=Budget(max_pairs=90))
     # 91 pairs pass the first charge; the links of the pair graph do not
     with pytest.raises(BudgetExceeded, match="max_pairs"):
-        principal_congruences(sp, pairs, system=system, budget=Budget(max_pairs=91))
+        principal_congruences(system, pairs, budget=Budget(max_pairs=91))
     with pytest.raises(BudgetExceeded) as info:
-        principal_congruences(sp, pairs, system=system,
+        principal_congruences(system, pairs,
                               budget=Budget(deadline=time.monotonic() - 1.0))
     assert info.value.what == "max_seconds"
 
@@ -201,10 +201,10 @@ def test_principal_congruences_charge_pairs_links_and_time(ctx3):
 def test_principal_congruences_are_unchanged_by_the_cell_budget(ctx3):
     sp, system = ctx3.subpower, ctx3.system()
     pairs = list(combinations(range(sp.size), 2))
-    expected = principal_congruences(sp, pairs, system=system)
+    expected = principal_congruences(system, pairs)
     # one column of map images per block
     tiny = Budget(max_signatures=len(system.table))
-    assert principal_congruences(sp, pairs, system=system, budget=tiny) == expected
+    assert principal_congruences(system, pairs, budget=tiny) == expected
 
 
 @pytest.mark.parametrize("cut", [None, 1])
@@ -219,7 +219,7 @@ def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cut):
     ctx = build_bn(ma, n)
     sp = ctx.subpower
     gen = (ctx.a_id, ctx.zero_id if source == "a,0" else ctx.id_of(ctx.d[2]))
-    graph = pair_depth_graph(sp, *gen, system=ctx.system())
+    graph = pair_depth_graph(ctx.system(), *gen)
     layers = list(graph.depth.values())
     assert layers == sorted(layers)
     if cut is not None:
@@ -232,8 +232,13 @@ def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cut):
 
 
 def test_generic_and_subpower_translations_agree(ctx2):
+    # the algebra B_2 induces on its element ids, from the oracle's tables
     sp = ctx2.subpower
-    assert set(map(tuple, translation_system(sp.algebra).table.tolist())) == \
+    ops = [op for op in sp.base.ops if op.arity > 0]
+    induced = FiniteAlgebra(sp.size, tuple(
+        table_op(op.symbol, op.arity, sp.size, values.ravel().tolist())
+        for op, values in zip(ops, oracles.subpower_op_values(sp))))
+    assert set(map(tuple, translation_system(induced).table.tolist())) == \
         set(map(tuple, translation_system(sp).table.tolist()))
 
 
@@ -246,29 +251,26 @@ def test_translation_system_is_deterministic(ctx2):
 
 def test_closure_honours_an_expired_deadline(ctx2):
     expired = Budget(deadline=time.monotonic() - 1.0)
-    sp, system = ctx2.subpower, ctx2.system()
+    system = ctx2.system()
     with pytest.raises(BudgetExceeded) as info:
-        principal_congruence(sp, ctx2.a_id, ctx2.zero_id, system=system,
-                             budget=expired)
+        cg(system, ctx2.a_id, ctx2.zero_id, budget=expired)
     assert info.value.what == "max_seconds"
 
 
 def test_principal_congruence_charges_the_pairs_it_reaches(ctx3):
-    sp, system = ctx3.subpower, ctx3.system()
+    system = ctx3.system()
     gen = (ctx3.a_id, ctx3.zero_id)
-    assert len(pair_depth_graph(sp, *gen, system=system).depth) == 21
+    assert len(pair_depth_graph(system, *gen).depth) == 21
     with pytest.raises(BudgetExceeded, match="21 > 20") as info:
-        principal_congruence(sp, *gen, system=system, budget=Budget(max_pairs=20))
+        cg(system, *gen, budget=Budget(max_pairs=20))
     assert info.value.what == "max_pairs"
-    assert principal_congruence(sp, *gen, system=system,
-                                budget=Budget(max_pairs=21)) == \
-        principal_congruence(sp, *gen, system=system)
+    assert cg(system, *gen, budget=Budget(max_pairs=21)) == cg(system, *gen)
 
 
 def test_pair_bfs_checks_max_pairs_inside_a_layer(ctx3):
     with pytest.raises(BudgetExceeded) as info:
-        pair_depth_graph(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
-                         system=ctx3.system(), budget=Budget(max_pairs=5))
+        pair_depth_graph(ctx3.system(), ctx3.a_id, ctx3.zero_id,
+                         budget=Budget(max_pairs=5))
     assert info.value.what == "max_pairs"
     assert "6 > 5" in str(info.value)
 
@@ -292,8 +294,9 @@ def test_narrow_tables_walk_like_intp_tables(size):
     assert narrow.dtype == (np.uint8 if size <= 256 else np.uint16)
     assert narrow.max() == size - 1
     for a, b in [(0, size - 1), (size - 2, size - 1), (249, size - 3)]:
-        assert _pair_bfs(narrow, a, b, Budget()) == _pair_bfs(wide, a, b, Budget())
+        assert pair_depth_graph(TranslationSystem(narrow, []), a, b).depth == \
+            pair_depth_graph(TranslationSystem(wide, []), a, b).depth
     pairs = [(u, v) for u, v in combinations(range(size), 2) if u // 4 == v // 4]
-    got, want = (principal_congruences(None, pairs, system=TranslationSystem(t[:3], []))
+    got, want = (principal_congruences(TranslationSystem(t[:3], []), pairs)
                  for t in (narrow, wide))
     assert [c.labels for c in got] == [c.labels for c in want]

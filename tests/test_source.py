@@ -1,9 +1,11 @@
 import ast
 import pathlib
+import re
 import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "varietal"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "varietal"
 
 
 def absolute_imports(path):
@@ -44,3 +46,11 @@ def test_src_imports_only_the_standard_library_and_numpy():
              for line, module in absolute_imports(path)
              if module.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The README's Library example is the documented API: it must run."""
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})

@@ -324,11 +324,11 @@ def test_automata_are_built_once_per_algebra(monkeypatch, halting_tm):
 
 
 def test_automaton_build_honours_an_expired_deadline(ctx3):
-    # 14 ** 5 words of an arity-5 operation of B_3's induced algebra, each
+    # 14 ** 5 words of an arity-5 operation over 14 letters, each
     # evaluated in Python: the build checks the deadline between chunks
-    alg = ctx3.subpower.algebra
+    alg = ctx3.subpower.base
     op = next(op for op in alg.ops if op.arity == 5)
-    alphabet = tuple(range(alg.size))
+    alphabet = tuple(range(ctx3.subpower.size))
     expired = Budget(deadline=time.monotonic() - 1.0)
     with pytest.raises(BudgetExceeded) as info:
         _automaton(alg, op, alphabet, budget=expired)
@@ -365,14 +365,14 @@ def b2(request, ctx2, ma2_k, ma3, four_state_tm):
 
 def test_translation_witnesses_are_the_first_in_canonical_order(b2):
     # every translation in (operation, position, constants lexicographic)
-    # order, by the induced algebra: the first witness of each map wins,
+    # order, on element ids: the first witness of each map wins,
     # and maps are listed in the order their first witnesses come
     sp = b2
     first = {}
     for op in sp.base.ops:
         for pos in range(op.arity):
             for consts in product(range(sp.size), repeat=op.arity - 1):
-                image = tuple(sp.algebra.eval(op.symbol, consts[:pos] + (x,) + consts[pos:])
+                image = tuple(sp.eval(op.symbol, consts[:pos] + (x,) + consts[pos:])
                               for x in range(sp.size))
                 first.setdefault(image, TranslationStep(op.symbol, pos, consts))
     table, steps = translation_maps(sp)
@@ -388,7 +388,7 @@ def test_translation_witnesses_reproduce_maps(b2):
         assert len(consts) == sp.base.op(step.op).arity - 1
         for x in range(sp.size):
             args = consts[:step.position] + (x,) + consts[step.position:]
-            assert sp.algebra.eval(step.op, args) == mp[x]
+            assert sp.eval(step.op, args) == mp[x]
 
 
 def test_equal_automata_are_swept_once_per_pass(monkeypatch, ma2, ctx3):
@@ -439,12 +439,19 @@ def test_automaton_rejects_nullary_and_blowup():
         _build_automaton(wide, tuple(range(20)))
 
 
-def test_induced_algebra_agrees_with_tuples(ctx2):
+def test_eval_on_ids_agrees_with_tuples(ctx2, ma2):
     sp = ctx2.subpower
-    assert sp.algebra.zero == sp.index[(0, 0)]
     for i, j in product(range(sp.size), repeat=2):
         raw = sp.eval_tuple("meet", (sp.elements[i], sp.elements[j]))
-        assert sp.algebra.eval("meet", (i, j)) == sp.index[raw]
+        assert sp.eval("meet", (i, j)) == sp.index[raw]
+    for bad in ((0, sp.size), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            sp.eval("meet", bad)
+    dd, bd = ma2.idx("D"), ma2.idx("bD")
+    open_set = Subpower(base=ma2.algebra, width=2,
+                        elements=((0, 0), (dd, dd), (dd, bd)))
+    with pytest.raises(ValueError, match=rf"^meet image \({dd}, 0\) escapes the subuniverse$"):
+        open_set.eval("meet", (1, 2))
 
 
 def test_coordinate_alphabet(ctx2, ma2):

@@ -10,7 +10,7 @@ from varietal import depth as depth_module, witness
 from varietal.algebra import Budget, TranslationStep
 from varietal.cli import main
 from varietal.depth import maltsev_depth, pair_depth_graph, \
-    principal_congruence, translation_system
+    translation_system
 from varietal.subpower import op_image
 from varietal.witness import (
     LEMMA_ORDER,
@@ -173,36 +173,32 @@ def test_kprime_guards(ma2, ma2_k):
 @pytest.mark.parametrize("n,depth", [(2, 1), (3, 2), (4, 3)])
 def test_depth_values(request, n, depth):
     ctx = get_ctx(request, n)
-    graph = pair_depth_graph(ctx.subpower, ctx.a_id, ctx.zero_id,
-                             system=ctx.system())
+    graph = pair_depth_graph(ctx.system(), ctx.a_id, ctx.zero_id)
     assert maltsev_depth(graph, (ctx.id_of(ctx.b[n]), ctx.id_of(ctx.c[n]))) == depth
 
 
 def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
     """atomic, chain, f-char and depth share one walk on B_4; omission's
     walks on its subalgebras C are told apart by their smaller universes."""
-    walks, principals = [], []
+    walks = []
+    real = pair_depth_graph
 
-    def counted(log, func):
-        def wrapper(target, *args, **kwargs):
-            log.append(target.size)
-            return func(target, *args, **kwargs)
-        return wrapper
+    def walk(system, *args, **kwargs):
+        walks.append(system.table.shape[1])
+        return real(system, *args, **kwargs)
 
-    walk = counted(walks, pair_depth_graph)
-    principal = counted(principals, principal_congruence)
     for module in (witness, depth_module):
         monkeypatch.setattr(module, "pair_depth_graph", walk)
-        monkeypatch.setattr(module, "principal_congruence", principal)
     assert main(["verify", "--tm", HALTING, "--n", "4",
                  "--out", str(tmp_path / "v.json")]) == 0
     assert walks.count(EXPECTED_SIZE[4]) == 1
-    assert EXPECTED_SIZE[4] not in principals
+    # one walk on C for each omitted d_k, k = 2..4
+    assert len(walks) == 1 + 3
 
 
 def test_theta_structure(ctx3):
-    theta = principal_congruence(ctx3.subpower, ctx3.a_id, ctx3.zero_id,
-                                 system=ctx3.system())
+    theta = pair_depth_graph(ctx3.system(), ctx3.a_id,
+                             ctx3.zero_id).congruence()
     assert theta.num_blocks == 7
     assert all(len(block) == 2 for block in theta.blocks())
     # each block glues two tuples differing exactly in the first coordinate
@@ -223,8 +219,8 @@ def test_chain_polynomial_endpoints(ctx4):
 def test_single_chain_step_grows_support_by_one(ctx2):
     sp = ctx2.subpower
     b2, d2 = ctx2.id_of(ctx2.b[2]), ctx2.id_of(ctx2.d[2])
-    image_a = sp.algebra.eval("J'", (b2, d2, ctx2.a_id))
-    image_0 = sp.algebra.eval("J'", (b2, d2, ctx2.zero_id))
+    image_a = sp.eval("J'", (b2, d2, ctx2.a_id))
+    image_0 = sp.eval("J'", (b2, d2, ctx2.zero_id))
     assert image_a == b2
     assert image_0 == ctx2.id_of(ctx2.c[2])
     supp = lambda t: sum(1 for v in t if v != 0)
@@ -294,7 +290,7 @@ def test_nonzero_ops_honours_an_expired_deadline(ctx2):
 def test_s2_acts_at_later_coordinates_only(ctx2):
     sp = ctx2.subpower
     b2, d2 = ctx2.id_of(ctx2.b[2]), ctx2.id_of(ctx2.d[2])
-    got = sp.algebra.eval("S2", (b2, d2, b2, b2, b2))
+    got = sp.eval("S2", (b2, d2, b2, b2, b2))
     assert got == ctx2.id_of(ctx2.c[2])
 
 
