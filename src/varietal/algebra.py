@@ -4,8 +4,10 @@ A FiniteAlgebra is an indexed universe 0..size-1 with a tuple of named
 finitary operations.  Operations evaluate on element indices; small ones
 may be backed by dense row-major tables.  Congruences are partitions in
 canonical block-id form (blocks numbered by least member); meets, joins
-and refinement are numpy operations on these label arrays, and every
-equivalence generated by pairs comes from one min-label hooking helper.
+and refinement are numpy operations on these label arrays.  Every
+equivalence generated by pairs comes from one min-label hooking helper,
+and every meet from one row-wise sort; both work on least forms (each
+element labelled by its block's least member), a stack of rows at once.
 Everything here is deterministic.  The subuniverse generated by a set of
 elements is `subpower.close_subpower` at width 1.
 """
@@ -145,43 +147,50 @@ class TranslationStep:
 
 # ---------------------------------------------------------------------------
 # congruences
+#
+# The engines keep a partition in least form: least[i] is the least member
+# of i's block.  It is as unique as the canonical labels, so its bytes key
+# a dict; it is a forest of depth one for hooking, and a gather index.
 
-def _canonical(keys: np.ndarray) -> np.ndarray:
-    """Number the keys 0, 1, ... in order of first appearance."""
-    order = np.argsort(keys, kind="stable")
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=new[1:])
-    first = np.empty_like(order)
-    first[order] = order[new][np.cumsum(new) - 1]   # each key's first position
-    return _ranked(first)
-
-
-def _ranked(first: np.ndarray) -> np.ndarray:
-    """Canonical labels from first[i] <= i, the first index in i's class:
-    the classes numbered in order of those first indices."""
-    return (np.cumsum(first == np.arange(len(first))) - 1)[first]
-
-
-def _generated(size: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Canonical labels of the equivalence on 0..size-1 that the pairs
-    (xs[i], ys[i]) generate, by min-label hooking (Liu and Tarjan, "Simple
-    concurrent labeling algorithms for connected components", SOSA 2019):
-    each root hooks to the least root it shares a pair with, pointers jump
-    until each points at its root, and that repeats until every pair has
-    one root.  Pointers only decrease, so a root is its block's least
-    member."""
-    root = np.arange(size)
+def _generated(forest: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Least form of the equivalence generated by a least form `forest`
+    (np.arange(size) for the identity) and the pairs (xs[i], ys[i]), by
+    min-label hooking (Liu and Tarjan, "Simple concurrent labeling
+    algorithms for connected components", SOSA 2019): each root hooks to
+    the least root it shares a pair with, pointers jump until each points
+    at its root, and that repeats until every pair has one root.  Pointers
+    only decrease, so a root is its block's least member.  The forest is
+    hooked in place."""
+    root = forest
     while True:
         rx, ry = root[xs], root[ys]
         split = rx != ry
         if not split.any():
-            return _ranked(root)
+            return root
         rx, ry = rx[split], ry[split]
         np.minimum.at(root, rx, ry)
         np.minimum.at(root, ry, rx)
         while not np.array_equal(jumped := root[root], root):
             root = jumped
+
+
+def _meets(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Least forms of the meets of two stacks of least-form rows, row by
+    row.  An element's meet block holds the elements with its pair of
+    least members, so its least member is where that pair first appears:
+    one stable sort of the pair codes, each row's codes offset past the
+    last row's."""
+    rows, size = left.shape
+    codes = left * size + right
+    codes += (np.arange(rows) * size * size)[:, None]
+    codes = codes.ravel()
+    order = np.argsort(codes, kind="stable")
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(codes[order[1:]], codes[order[:-1]], out=new[1:])
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first.reshape(rows, size) - (np.arange(rows) * size)[:, None]
 
 
 @dataclass(frozen=True)
@@ -202,6 +211,20 @@ class Congruence:
             raise ValueError("labels not in canonical first-appearance order")
         array.flags.writeable = False
         object.__setattr__(self, "_array", array)
+
+    @staticmethod
+    def _of(least: np.ndarray) -> "Congruence":
+        """The congruence with this least form.  A least form from the
+        helpers above is canonical by construction, so the labels (blocks
+        numbered in order of their least members) are not checked again."""
+        least = least.astype(np.intp)
+        array = (np.cumsum(least == np.arange(len(least))) - 1)[least]
+        least.flags.writeable = array.flags.writeable = False
+        cong = object.__new__(Congruence)
+        object.__setattr__(cong, "labels", tuple(array.tolist()))
+        object.__setattr__(cong, "_array", array)
+        cong.__dict__["_least"] = least   # the cached property below
+        return cong
 
     @cached_property
     def _least(self) -> np.ndarray:
@@ -228,44 +251,25 @@ class Congruence:
             out[lab].append(i)
         return out
 
-    def is_identity(self) -> bool:
-        return self.num_blocks == self.size
-
-    def is_full(self) -> bool:
-        return self.num_blocks <= 1
-
     def _check_same_size(self, other: "Congruence"):
         if self.size != other.size:
             raise ValueError(f"congruences on {self.size} and {other.size} elements")
 
     def meet(self, other: "Congruence") -> "Congruence":
         self._check_same_size(other)
-        keys = self._array * self.size + other._array
-        return Congruence(tuple(_canonical(keys).tolist()))
+        return Congruence._of(_meets(self._least[None], other._least[None])[0])
 
     def equiv_join(self, other: "Congruence") -> "Congruence":
         """Join in the lattice of equivalences (transitive closure of the
         union).  For two congruences this is also the congruence join."""
         self._check_same_size(other)
-        every = np.arange(2 * self.size) % self.size
-        least = np.concatenate([self._least, other._least])
-        return Congruence(tuple(_generated(self.size, every, least).tolist()))
+        return Congruence._of(_generated(self._least.copy(),
+                                         np.arange(self.size), other._least))
 
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""
         self._check_same_size(other)
         return bool((other._array[self._least] == other._array).all())
-
-    def spanning_pairs(self) -> list[tuple[int, int]]:
-        """One chain of pairs per nontrivial block; generates the same
-        congruence."""
-        prev: dict[int, int] = {}
-        pairs: list[tuple[int, int]] = []
-        for i, lab in enumerate(self.labels):
-            if lab in prev:
-                pairs.append((prev[lab], i))
-            prev[lab] = i
-        return pairs
 
     @staticmethod
     def identity(size: int) -> "Congruence":
@@ -279,4 +283,4 @@ class Congruence:
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
         """Equivalence (not necessarily compatible) generated by pairs."""
         pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-        return Congruence(tuple(_generated(size, pairs[:, 0], pairs[:, 1]).tolist()))
+        return Congruence._of(_generated(np.arange(size), pairs[:, 0], pairs[:, 1]))

@@ -262,7 +262,7 @@ def _cmd_depth(args, budget: Budget) -> int:
 def _cmd_sd_meet(args, budget: Budget) -> int:
     if args.fixture == "m3":
         lat = m3_lattice()
-        sd, witness = is_meet_semidistributive(lat)
+        sd, witness = is_meet_semidistributive(lat, budget=budget)
         doc = {"schema": SCHEMA, "command": "sd-meet", "fixture": "m3",
                "lattice_size": lat.size, "sd_meet": sd,
                "witness": list(witness) if witness else None,
@@ -287,8 +287,8 @@ def _cmd_sd_meet(args, budget: Budget) -> int:
                          "congruences": None, "sd_meet": False,
                          "witness": None, "error": str(exc)})
             continue
-        lat = lattice_of_congruences(congs)
-        sd, witness = is_meet_semidistributive(lat)
+        lat = lattice_of_congruences(congs, budget=budget)
+        sd, witness = is_meet_semidistributive(lat, budget=budget)
         all_ok = all_ok and sd
         rows.append({"n": n, "universe": ctx.subpower.size,
                      "congruences": len(congs), "sd_meet": sd,

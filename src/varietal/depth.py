@@ -127,8 +127,8 @@ def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
     layers = np.fromiter(graph.depth.values(), dtype=np.intp, count=len(pairs))
     for m in range(int(layers[-1]) + 1):
         upto = pairs[:np.searchsorted(layers, m, side="right")]
-        labels = _generated(graph.size, upto[:, 0], upto[:, 1])
-        if labels[c] == labels[d]:
+        least = _generated(np.arange(graph.size), upto[:, 0], upto[:, 1])
+        if least[c] == least[d]:
             return m
     return None
 
@@ -202,31 +202,42 @@ def principal_congruences(system: TranslationSystem,
                           pairs: Iterable[tuple[int, int]], *,
                           budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """Cg(x, y) for every listed pair, in one pass over the pair graph (see
-    the module docstring).  An image that is not listed raises ValueError;
-    all pairs, or the pairs inside a congruence's blocks, are closed."""
+    the module docstring).  Components share successor sets, so the join
+    of each distinct set takes one hooking pass, from one member's least
+    form, and the own pairs a component's join leaves unrelated take one
+    more.  The distinct least forms are interned by their bytes, and each
+    becomes one Congruence at the end.  An image that is not listed
+    raises ValueError; all pairs, or the pairs inside a congruence's
+    blocks, are closed."""
     pairs = np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2)
     budget.check_pairs(len(pairs))
     indptr, successors = _pair_graph(system.table, pairs, budget)
     size, xs, ys = system.table.shape[1], pairs[:, 0].tolist(), pairs[:, 1].tolist()
-    congs = [Congruence.identity(size)]
-    ids, joins = {congs[0].labels: 0}, {}
+    forms = [np.arange(size)]   # interned least forms; 0 is the identity
+    ids = {forms[0].tobytes(): 0}
+    joins = {frozenset(): 0}     # the join of each successor set met so far
 
-    def intern(cong: Congruence) -> int:
-        if ids.setdefault(cong.labels, len(congs)) == len(congs):
-            congs.append(cong)
-        return ids[cong.labels]
+    def hooked(start: int, us: np.ndarray, vs: np.ndarray) -> int:
+        least = _generated(forms[start].copy(), us, vs)
+        if ids.setdefault(least.tobytes(), len(forms)) == len(forms):
+            forms.append(least)
+        return ids[least.tobytes()]
 
-    cg = [0] * len(pairs)   # the identity's id until the pair's component closes
+    cg = [0] * len(pairs)        # the identity until the pair's component closes
     for members in _components(indptr, successors, budget):
-        acc = 0
-        for s in {cg[w] for v in members
-                  for w in successors[indptr[v]:indptr[v + 1]]} - {0}:
-            if (acc, s) not in joins:
-                joins[acc, s] = intern(congs[acc].equiv_join(congs[s]))
-            acc = joins[acc, s]
-        own = [(xs[v], ys[v]) for v in members if not congs[acc].relates(xs[v], ys[v])]
+        succ = frozenset({cg[w] for v in members
+                          for w in successors[indptr[v]:indptr[v + 1]]} - {0})
+        if succ not in joins:
+            first, *rest = succ
+            joins[succ] = first if not rest else hooked(
+                first, np.tile(forms[0], len(rest)),
+                np.concatenate([forms[s] for s in rest]))
+        acc = joins[succ]
+        own = [v for v in members if forms[acc][xs[v]] != forms[acc][ys[v]]]
         if own:
-            acc = intern(congs[acc].equiv_join(Congruence.from_pairs(size, own)))
+            acc = hooked(acc, np.array([xs[v] for v in own], dtype=np.intp),
+                         np.array([ys[v] for v in own], dtype=np.intp))
         for v in members:
             cg[v] = acc
+    congs = [Congruence._of(least) for least in forms]
     return [congs[i] for i in cg]

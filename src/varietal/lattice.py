@@ -3,27 +3,45 @@
 The congruence lattice is generated from the principal congruences:
 every congruence is the join of the principals it contains, so closing
 the principals (one pass over the pair graph, sinks first: Mal'cev) and
-the identity under joins with a principal yields the whole lattice.  A
-join is the transitive closure of the union of two congruences
-(Congruence.equiv_join, min-label hooking on the label arrays), which
-needs no translations; meets are block-label intersections.  The order
-is read off the label matrix, and the join and meet tables off the order.
+the identity under joins with a principal yields the whole lattice.  The
+closure works on least forms (see `algebra`) a frontier at a time: each
+round joins every congruence the last round found with every principal
+whose generating pair it does not relate.  A join needs no translations,
+only the transitive closure of the union, so a block of joins is one
+min-label hooking pass: the block's frontier rows lie end to end, row k
+offset by k * size, and each hooks its principal's least form.  New rows
+are deduped by their bytes.  Then the meet of every two congruences must
+be in the set: one row-wise meet per block of pairs.  The order is read
+off the label matrix, and the join and meet tables off the order.
 
 Meet-semidistributivity: a ^ b = a ^ c implies a ^ b = a ^ (b v c) for
-all triples.  The check runs over the full triple cube with numpy and
-reports the lexicographically first violating triple, if any.
+all triples.  The check runs over the triple cube a slab of (a, b) pairs
+at a time and reports the lexicographically first violating triple.
+
+Each block or slab holds at most Budget.max_signatures cells; it is
+charged before it is allocated, and checks the deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import Budget, Congruence, DEFAULT_BUDGET
+from .algebra import Budget, Congruence, DEFAULT_BUDGET, _generated, _meets
 from .depth import TranslationSystem, principal_congruences
+
+
+def _blocks(count: int, unit: int, budget: Budget):
+    """range(count) in blocks of index arrays, at `unit` cells an index
+    and at most max_signatures cells a block.  Each block is charged to
+    the budget before the caller allocates it, and checks the deadline."""
+    step = max(1, budget.max_signatures // max(1, unit))
+    for lo in range(0, count, step):
+        budget.check_time()
+        budget.check_signatures(unit * min(step, count - lo))
+        yield np.arange(lo, min(lo + step, count))
 
 
 def congruence_lattice(system: TranslationSystem, *,
@@ -32,35 +50,54 @@ def congruence_lattice(system: TranslationSystem, *,
     canonically sorted.
 
     Takes the principal congruences of every pair from one pass over the
-    pair graph, then closes them under joins.  Meets come for free (label
-    intersection); one outside the set raises ValueError.
+    pair graph, then closes them under joins a frontier at a time (see
+    the module docstring).  Every meet of two congruences must be among
+    them; one that is not raises ValueError.
     """
     size = system.table.shape[1]
-    pairs = list(combinations(range(size), 2))
-    cgs = principal_congruences(system, pairs, budget=budget)
+    xs, ys = np.triu_indices(size, 1)
+    cgs = principal_congruences(system, np.stack([xs, ys], 1), budget=budget)
     # each distinct principal congruence, with the first pair generating it
-    principals = {cg.labels: (cg, pair) for pair, cg in reversed(list(zip(pairs, cgs)))}
-    found = {cg.labels: cg for cg in [Congruence.identity(size), *cgs]}
-    # the join closure of a generating set needs joins with generators
-    # only, and theta v Cg(x,y) = theta when theta relates x and y
-    work = list(found.values())
-    while work:
-        theta = work.pop()
-        budget.check_time()
-        for psi, (x, y) in principals.values():
-            if theta.relates(x, y):
-                continue
-            join = theta.equiv_join(psi)
-            if join.labels not in found:
-                found[join.labels] = join
-                work.append(join)
-                budget.check_elements(len(found))
+    seen = {}
+    for i, cg in enumerate(cgs):
+        seen.setdefault(cg._least.tobytes(), i)
+    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    forms = np.array([cgs[i]._least for i in first], dtype=np.intp).reshape(-1, size)
+    found = {row.tobytes(): row for row in [np.arange(size), *forms]}
+    frontier = forms       # identity v psi = psi: the identity needs no joins
+    while len(frontier):
+        fresh = {}
+        for block in _joins(frontier, forms, xs[first], ys[first], budget):
+            for row in block:
+                if (key := row.tobytes()) not in found:
+                    found[key] = fresh[key] = row
+        budget.check_elements(len(found))
+        frontier = np.array(list(fresh.values()), dtype=np.intp).reshape(-1, size)
 
-    congs = sorted(found.values(), key=lambda c: c.labels)
-    for theta, psi in combinations(congs, 2):
-        if theta.meet(psi).labels not in found:
+    table = np.array(list(found.values()))
+    # least forms sort in the order of the canonical labels
+    table = table[np.lexsort(table.T[::-1])]
+    left, right = np.triu_indices(len(table), 1)
+    for part in _blocks(len(left), size, budget):
+        meets = _meets(table[left[part]], table[right[part]])
+        if not {row.tobytes() for row in meets} <= found.keys():
             raise ValueError("meet escaped the generated lattice")
-    return congs
+    return [Congruence._of(row) for row in table]
+
+
+def _joins(frontier: np.ndarray, forms: np.ndarray, xs: np.ndarray,
+           ys: np.ndarray, budget: Budget):
+    """Least forms of theta v psi for each frontier row theta and each
+    principal psi = forms[i] whose pair (xs[i], ys[i]) theta does not
+    relate (else theta v psi = theta), a block of rows at a time."""
+    size = frontier.shape[1]
+    theta, psi = np.nonzero(frontier[:, xs] != frontier[:, ys])
+    for part in _blocks(len(theta), size, budget):
+        offset = (np.arange(len(part)) * size)[:, None]
+        least = _generated((frontier[theta[part]] + offset).ravel(),
+                           np.arange(offset.size * size),
+                           (forms[psi[part]] + offset).ravel())
+        yield least.reshape(-1, size) - offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,62 +116,70 @@ class Lattice:
         return int(self.meet_table[x, y])
 
     @staticmethod
-    def from_order(leq: Sequence[Sequence[bool]]) -> "Lattice":
+    def from_order(leq: Sequence[Sequence[bool]], *,
+                   budget: Budget = DEFAULT_BUDGET) -> "Lattice":
         """Build join/meet tables from a partial order, leq[x][y] when
         x <= y; raises ValueError when some pair lacks a least upper or
         greatest lower bound.  The meet is the join of the dual order."""
         n = len(leq)
         leq = np.asarray(leq, dtype=bool).reshape(n, n)
-        join = _least_bounds(leq, "least upper bound")
-        meet = _least_bounds(leq.T, "greatest lower bound")
+        join = _least_bounds(leq, "least upper bound", budget)
+        meet = _least_bounds(leq.T, "greatest lower bound", budget)
         return Lattice(n, join, meet)
 
 
-def _least_bounds(leq: np.ndarray, what: str) -> np.ndarray:
+def _least_bounds(leq: np.ndarray, what: str, budget: Budget) -> np.ndarray:
     """[x, y] -> the least z with x, y <= z.  Of a pair's upper bounds the
     least one has the fewest elements below it, so it is the argmin of
-    those counts over the [x, y, z] cube of bounds; when that argmin is
-    not below every bound, the pair has no least one."""
+    those counts over the pair's bounds z; when that argmin is not below
+    every bound, the pair has no least one.  Computed in slabs of pairs."""
     n = len(leq)
     narrow = np.min_scalar_type(n + 1)
-    bounds = leq[:, None, :] & leq[None, :, :]
-    # the sentinel n + 1 outweighs every count, the top's n included
-    below = np.where(bounds, leq.sum(0, dtype=narrow), narrow.type(n + 1))
-    best = below.argmin(2)
+    below = leq.sum(0, dtype=narrow)
+    best = np.empty(n * n, dtype=np.intp)
+    for part in _blocks(n * n, n, budget):      # slabs of pairs (x, y)
+        xs, ys = np.divmod(part, n)
+        bounds = leq[xs] & leq[ys]              # [pair, z]
+        # the sentinel n + 1 outweighs every count, the top's n included
+        least = np.where(bounds, below, narrow.type(n + 1)).argmin(1)
+        ok = bounds.any(1) & (leq[least] >= bounds).all(1)
+        if not ok.all():
+            bad = np.argmin(ok)
+            raise ValueError(f"no {what} for {xs[bad]},{ys[bad]}")
+        best[part] = least
+    best = best.reshape(n, n)
     best.flags.writeable = False
-    ok = bounds.any(2) & (leq[best] >= bounds).all(2)
-    if not ok.all():
-        x, y = np.argwhere(~ok)[0]
-        raise ValueError(f"no {what} for {x},{y}")
     return best
 
 
-def lattice_of_congruences(congs: list[Congruence]) -> Lattice:
+def lattice_of_congruences(congs: list[Congruence], *,
+                           budget: Budget = DEFAULT_BUDGET) -> Lattice:
     """Order a closed set of congruences by refinement, off the label
     matrix: theta <= psi when psi gives each element the label of the
     least member of its theta-block."""
     labels = np.array([c.labels for c in congs])
     leq = [(labels[:, c._least] == labels).all(1) for c in congs]
-    return Lattice.from_order(leq)
+    return Lattice.from_order(leq, budget=budget)
 
 
-def is_meet_semidistributive(lat: Lattice) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whole-cube check of: a^b = a^c  implies  a^b = a^(b v c).
+def is_meet_semidistributive(lat: Lattice, *, budget: Budget = DEFAULT_BUDGET
+                             ) -> tuple[bool, tuple[int, int, int] | None]:
+    """Check of a^b = a^c  implies  a^b = a^(b v c) over the whole [a, b, c]
+    cube, in slabs of (a, b) pairs.
 
     Returns (True, None) or (False, first violating triple (a, b, c) in
     lexicographic order).
     """
-    n = lat.size
     meet, join = lat.meet_table, lat.join_table
-    ab = meet[:, :, None]                      # [a, b, 1]
-    ac = meet[:, None, :]                      # [a, 1, c]
-    a_idx = np.arange(n)[:, None, None]
-    a_join = meet[a_idx, join[None, :, :]]     # [a, b, c] -> a ^ (b v c)
-    viol = (ab == ac) & (a_join != ab)
-    if not viol.any():
-        return True, None
-    a, b, c = np.argwhere(viol)[0]
-    return False, (int(a), int(b), int(c))
+    for part in _blocks(lat.size ** 2, lat.size, budget):
+        a, b = np.divmod(part, lat.size)
+        ab = meet[a, b][:, None]                    # [pair, 1]
+        a_join = meet[a[:, None], join[b]]          # [pair, c] -> a ^ (b v c)
+        viol = (ab == meet[a]) & (a_join != ab)
+        if viol.any():
+            p, c = np.argwhere(viol)[0]
+            return False, (int(a[p]), int(b[p]), int(c))
+    return True, None
 
 
 def m3_lattice() -> Lattice:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -135,6 +136,12 @@ class MachineAlgebra:
         ops = self._build_ops()
         self.algebra = FiniteAlgebra(size=self.size, ops=ops)
 
+    @cached_property
+    def k_extended(self) -> "MachineAlgebra":
+        """The same machine's algebra with K, compiled on first use and
+        kept, so every width of a run shares its automata and tables."""
+        return MachineAlgebra(self.machine, with_k=True)
+
     # -- naming ------------------------------------------------------------
 
     def idx(self, name: str) -> int:
@@ -157,9 +164,6 @@ class MachineAlgebra:
         if b < 0:
             raise ValueError(f"bar undefined on {self.names[x]!r}")
         return b
-
-    def leq(self, x: int, y: int) -> bool:
-        return x == 0 or x == y
 
     def prec(self, x: int, z: int) -> bool:
         """Head order: 2 < 2, 2 < H, 1 < 1, nothing else."""

@@ -263,17 +263,6 @@ def load_tm(path) -> TuringMachine:
         return parse_tm(fh.read())
 
 
-def format_tm(tm: TuringMachine) -> str:
-    """Render back to the file format (parse_tm round-trips it)."""
-    lines = ["states: " + " ".join(tm.states)]
-    for ins in tm.sorted_instructions():
-        lines.append(
-            f"{tm.states[ins.state]} {ins.read} -> {ins.write}"
-            f" {ins.direction} {tm.states[ins.next_state]}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def machine(states: Iterable[str], quintuples: Iterable[tuple]) -> TuringMachine:
     """Build from state names and (state, read, write, dir, next) name tuples."""
     names = tuple(states)

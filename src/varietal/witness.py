@@ -599,11 +599,10 @@ LEMMA_ORDER = ("structure", "nonzero-ops", "atomic", "chain", "f-char",
 def run_lemma(lemma: str, ma: MachineAlgebra, n: int, *,
               budget: Budget = DEFAULT_BUDGET,
               ctx: BnContext | None = None) -> LemmaReport:
-    """Run one named verifier at width n; k-collapse compiles its own
-    K-extended algebra from the same machine."""
+    """Run one named verifier at width n; k-collapse runs on the
+    K-extended algebra of the same machine, compiled once per `ma`."""
     if lemma == "k-collapse":
-        ma_k = ma if ma.with_k else MachineAlgebra(ma.machine, with_k=True)
-        return kprime_collapse(ma_k, n, budget)
+        return kprime_collapse(ma if ma.with_k else ma.k_extended, n, budget)
     t0 = time.monotonic()
     if ctx is None:
         try:

@@ -145,6 +145,31 @@ def bucket_congruence(size: int, op_values: list[np.ndarray],
     return canonical_labels(parent)
 
 
+def naive_congruences(size: int, op_values: list[np.ndarray]
+                      ) -> list[tuple[int, ...]]:
+    """Every congruence of the algebra with these dense operation tables
+    (shape (size,)*arity each), sorted: each set partition of the universe,
+    enumerated as a restricted growth string, is kept when every operation
+    sends each element of a block, in each argument place, to the block
+    that the block's least member goes to.  Only up to 7 elements (877
+    partitions)."""
+    if size > 7:
+        raise ValueError(f"{size} elements: too many partitions to list")
+    partitions = [()]
+    for _ in range(size):
+        partitions = [p + (b,) for p in partitions
+                      for b in range(max(p, default=-1) + 2)]
+    out = []
+    for labels in partitions:
+        lab = np.asarray(labels, dtype=np.int64)
+        least = np.asarray([labels.index(b) for b in labels], dtype=np.int64)
+        if all((np.moveaxis(lab[vals], axis, 0)[least] ==
+                np.moveaxis(lab[vals], axis, 0)).all()
+               for vals in op_values for axis in range(vals.ndim)):
+            out.append(labels)
+    return sorted(out)
+
+
 def subpower_op_values(sp) -> list[np.ndarray]:
     """Dense per-operation value arrays over subpower element ids,
     computed coordinatewise (no automata)."""

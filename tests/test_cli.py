@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 from varietal import cli
 from varietal.cli import _exit_code, _parse_range, main
-from varietal.tm import format_tm, machine
+from varietal.machine_algebra import MachineAlgebra
+from varietal.tm import machine
 from varietal.witness import LemmaReport
 from conftest import FIXTURES
+from support import format_tm
 
 HALTING = str(FIXTURES / "halting.tm")
 LOOPING = str(FIXTURES / "looping.tm")
@@ -187,6 +190,23 @@ def test_verify_k_collapse_below_its_minimum_width_is_a_usage_error(capsys):
                  "--n", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "width of 3 or more" in captured.err
+
+
+def test_verify_compiles_the_k_algebra_once_per_run(tmp_path, monkeypatch):
+    """Every width's k-collapse shares one K-extended algebra."""
+    compiled = []
+    real = MachineAlgebra.__init__
+
+    def counting(self, machine, with_k=False):
+        compiled.append(with_k)
+        real(self, machine, with_k=with_k)
+
+    monkeypatch.setattr(MachineAlgebra, "__init__", counting)
+    out = tmp_path / "k.json"
+    assert main(["verify", "--tm", HALTING, "--n", "3..5", "--lemma",
+                 "k-collapse", "--out", str(out)]) == 0
+    assert compiled.count(True) == 1
+    assert [r["n"] for r in read_doc(out)["reports"]] == [3, 4, 5]
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -392,6 +412,19 @@ def test_sd_meet_reports_an_escaped_meet(tmp_path, monkeypatch):
     assert escaped == {"n": 3, "universe": 14, "congruences": None,
                        "sd_meet": False, "witness": None,
                        "error": "meet escaped the generated lattice"}
+
+
+def test_sd_meet_names_the_cell_cap_of_the_lattice(monkeypatch, capsys):
+    """A label row over max_signatures stops the lattice with exit 3."""
+    real = cli.congruence_lattice
+
+    def narrow(system, *, budget):
+        cap = system.table.shape[1] - 1
+        return real(system, budget=dataclasses.replace(budget, max_signatures=cap))
+
+    monkeypatch.setattr(cli, "congruence_lattice", narrow)
+    assert main(["sd-meet", "--tm", HALTING, "--n", "2"]) == 3
+    assert "budget exceeded: max_signatures (6 > 5)" in capsys.readouterr().err
 
 
 def test_sd_meet_needs_target(capsys):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from support import spanning_pairs
+from varietal import lattice
+from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
+from varietal.depth import principal_congruences, translation_system
 from varietal.lattice import (
     Lattice,
     congruence_lattice,
@@ -56,7 +61,7 @@ def assert_compatible(op_values, cong):
         blocks_of_vals = lab[vals]
         for axis in range(vals.ndim):
             rolled = np.moveaxis(blocks_of_vals, axis, 0)
-            for a, b in cong.spanning_pairs():
+            for a, b in spanning_pairs(cong):
                 assert np.array_equal(rolled[a], rolled[b])
 
 
@@ -70,7 +75,7 @@ def test_lattice_joins_match_generated_congruences(ctx3, con_b3, b3_op_values):
     """The lattice joins by equivalence closure; the oracle's congruence
     generated by both spanning-pair lists is the same."""
     for theta, psi in product(con_b3, repeat=2):
-        seeds = theta.spanning_pairs() + psi.spanning_pairs()
+        seeds = spanning_pairs(theta) + spanning_pairs(psi)
         assert theta.equiv_join(psi).labels == oracles.bucket_congruence(
             ctx3.subpower.size, b3_op_values, seeds)
 
@@ -166,3 +171,146 @@ def test_from_order_matches_brute_force(leq):
     bottom = next(x for x in range(n) if all(leq[x]))
     top = next(x for x in range(n) if all(row[x] for row in leq))
     assert lat.join(bottom, top) == top and lat.meet(bottom, top) == bottom
+
+
+# -- all of Con(A) against the partition oracle --------------------------------
+
+def random_algebra(seed):
+    """Up to 7 elements and one to three operations of arity 0 to 3.  Every
+    other algebra keeps a random partition compatible (each value drawn
+    from the block that a block-level table picks), so its lattice is more
+    than the identity and the full relation."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 8))
+    blocks = rng.integers(0, min(3, size), size=size) if seed % 2 else np.arange(size)
+    ops = []
+    for i, k in enumerate(rng.integers(0, 4, size=int(rng.integers(1, 4)))):
+        k = int(k)
+        args = np.indices((size,) * k).reshape(k, size ** k)
+        codes = np.zeros(args.shape[1], dtype=np.int64)
+        for column in args:
+            codes = codes * size + blocks[column]
+        targets = rng.integers(0, size, size=size ** k)[codes]
+        values = [int(rng.choice(np.flatnonzero(blocks == blocks[t])))
+                  for t in targets]
+        ops.append(table_op(f"f{i}", k, size, values))
+    return FiniteAlgebra(size=size, ops=tuple(ops))
+
+
+def assert_lattice_matches_oracle(alg):
+    got = [c.labels for c in congruence_lattice(translation_system(alg))]
+    assert got == oracles.naive_congruences(alg.size,
+                                            oracles.algebra_op_values(alg))
+    return got
+
+
+def test_congruence_lattices_of_random_algebras_match_the_partition_oracle():
+    t0 = time.monotonic()
+    sizes = [len(assert_lattice_matches_oracle(random_algebra(seed)))
+             for seed in range(30)]
+    assert max(sizes) > 2          # some lattice is more than a chain 0 < 1
+    assert time.monotonic() - t0 < 3
+
+
+def test_congruence_lattice_edge_cases_match_the_partition_oracle():
+    unary = [table_op("s", 1, 4, [1, 0, 3, 2]), table_op("z", 1, 4, [0, 0, 2, 2])]
+    cases = [
+        FiniteAlgebra(size=1, ops=()),
+        FiniteAlgebra(size=2, ops=(table_op("m", 2, 2, [0, 0, 0, 1]),)),
+        FiniteAlgebra(size=3, ops=()),
+        FiniteAlgebra(size=4, ops=tuple(unary)),
+    ]
+    got = [assert_lattice_matches_oracle(alg) for alg in cases]
+    assert got[0] == [(0,)]
+    assert got[1] == [(0, 0), (0, 1)]
+    assert len(got[2]) == 5         # every partition of 3 elements
+
+
+# -- budgets and the meet check of the batched closure -------------------------
+
+def test_congruence_lattice_honours_an_expired_deadline(ctx3, monkeypatch):
+    system = ctx3.system()
+    with pytest.raises(BudgetExceeded) as exc:
+        congruence_lattice(system, budget=Budget(deadline=time.monotonic() - 1))
+    assert exc.value.what == "max_seconds"
+
+    # the deadline passes after the principal pass: the join blocks see it
+    real = lattice.principal_congruences
+
+    def then_expire(system, pairs, *, budget):
+        out = real(system, pairs, budget=budget)
+        budget.deadline = time.monotonic() - 1
+        return out
+
+    monkeypatch.setattr(lattice, "principal_congruences", then_expire)
+    with pytest.raises(BudgetExceeded) as exc:
+        congruence_lattice(system, budget=Budget(deadline=time.monotonic() + 60))
+    assert exc.value.what == "max_seconds"
+
+
+def test_a_label_row_over_the_cell_cap_is_refused_before_any_block(
+        ctx3, monkeypatch):
+    calls = []
+    for name in ("_generated", "_meets"):
+        real = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name,
+                            lambda *a, _real=real: calls.append(a) or _real(*a))
+    size = ctx3.subpower.size
+    with pytest.raises(BudgetExceeded) as exc:
+        congruence_lattice(ctx3.system(), budget=Budget(max_signatures=size - 1))
+    assert exc.value.what == "max_signatures" and calls == []
+    # one label row per block is enough, and gives the same lattice
+    assert congruence_lattice(ctx3.system(), budget=Budget(max_signatures=size)) \
+        == congruence_lattice(ctx3.system())
+
+
+def test_a_join_dropped_by_the_closure_escapes_as_a_meet(monkeypatch):
+    """On the five-element set with no operations every partition is a
+    congruence.  Drop {0,1,2}{3}{4}, which only joins make and which is
+    the meet of {0,1,2,3}{4} and {0,1,2,4}{3}: the meet check finds it
+    missing."""
+    system = translation_system(FiniteAlgebra(size=5, ops=()))
+    assert len(congruence_lattice(system)) == 52
+    dropped = np.array([0, 0, 0, 3, 4])       # least form of {0,1,2}{3}{4}
+    assert not any((c._least == dropped).all() for c in principal_congruences(
+        system, combinations(range(5), 2)))
+    real = lattice._joins
+
+    def dropping(*args):
+        for block in real(*args):
+            yield block[~(block == dropped).all(1)]
+
+    monkeypatch.setattr(lattice, "_joins", dropping)
+    with pytest.raises(ValueError, match="meet escaped the generated lattice"):
+        congruence_lattice(system)
+
+
+def test_lattice_tables_and_sd_check_are_unchanged_by_slabs(con_b3):
+    """One (x, y) pair per slab, and a slab of many pairs, give the same
+    tables and the same first violating triple as the default cap."""
+    lat = lattice_of_congruences(con_b3)
+    m3 = m3_lattice()
+    for cap in (lat.size, 3 * lat.size + 1):
+        small = lattice_of_congruences(con_b3, budget=Budget(max_signatures=cap))
+        assert np.array_equal(small.join_table, lat.join_table)
+        assert np.array_equal(small.meet_table, lat.meet_table)
+        assert is_meet_semidistributive(small, budget=Budget(max_signatures=cap)) \
+            == (True, None)
+    for cap in (5, 7, 11):
+        assert is_meet_semidistributive(m3, budget=Budget(max_signatures=cap)) \
+            == (False, (1, 2, 3))
+    bowtie = [[x == y or (x < 2 and y >= 2) for y in range(4)] for x in range(4)]
+    with pytest.raises(ValueError, match="no least upper bound for 0,1"):
+        Lattice.from_order(bowtie, budget=Budget(max_signatures=4))
+
+
+def test_lattice_tables_and_sd_check_charge_the_budget(con_b3):
+    lat = lattice_of_congruences(con_b3)
+    for check in (lambda b: lattice_of_congruences(con_b3, budget=b),
+                  lambda b: is_meet_semidistributive(lat, budget=b)):
+        with pytest.raises(BudgetExceeded) as exc:
+            check(Budget(max_signatures=lat.size - 1))
+        assert exc.value.what == "max_signatures"
+        with pytest.raises(BudgetExceeded) as exc:
+            check(Budget(deadline=time.monotonic() - 1))
+        assert exc.value.what == "max_seconds"

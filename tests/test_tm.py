@@ -1,12 +1,12 @@
 import pytest
 
+from support import format_tm
 from varietal.tm import (
     HALTED,
     Configuration,
     Instruction,
     TMError,
     TuringMachine,
-    format_tm,
     initial_configuration,
     machine,
     parse_tm,
