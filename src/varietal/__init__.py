@@ -10,7 +10,7 @@ from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import Element, MachineAlgebra, compile_machine, \
-    monotonicity_report, parse_element_name, vector_evaluator
+    parse_element_name, vector_evaluator
 from .subpower import Subpower, close_subpower, op_image, translation_maps
 from .tm import Configuration, Instruction, RunOutcome, TMError, \
     TuringMachine, load_tm, machine, parse_tm, run_bounded

@@ -55,6 +55,17 @@ class Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("max_seconds")
 
+    def blocks(self, count: int, unit: int):
+        """range(count) in blocks of index arrays, at `unit` cells an index
+        and at most max_signatures cells a block (one index when a single
+        one is over the cap).  Each block is charged before the caller
+        allocates it, and checks the deadline."""
+        step = max(1, self.max_signatures // max(1, unit))
+        for lo in range(0, count, step):
+            self.check_time()
+            self.check_signatures(unit * min(step, count - lo))
+            yield np.arange(lo, min(lo + step, count))
+
 
 DEFAULT_BUDGET = Budget()
 
@@ -196,7 +207,7 @@ def _meets(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Congruence:
     """A partition in canonical form: labels[i] is the block id of element
-    i, blocks numbered 0.. in order of least member.  Meets, joins and
+    i, blocks numbered 0.. in order of least member.  Meets and
     refinement work on the labels as a numpy array."""
 
     labels: tuple[int, ...]
@@ -259,25 +270,10 @@ class Congruence:
         self._check_same_size(other)
         return Congruence._of(_meets(self._least[None], other._least[None])[0])
 
-    def equiv_join(self, other: "Congruence") -> "Congruence":
-        """Join in the lattice of equivalences (transitive closure of the
-        union).  For two congruences this is also the congruence join."""
-        self._check_same_size(other)
-        return Congruence._of(_generated(self._least.copy(),
-                                         np.arange(self.size), other._least))
-
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""
         self._check_same_size(other)
         return bool((other._array[self._least] == other._array).all())
-
-    @staticmethod
-    def identity(size: int) -> "Congruence":
-        return Congruence(tuple(range(size)))
-
-    @staticmethod
-    def full(size: int) -> "Congruence":
-        return Congruence((0,) * size)
 
     @staticmethod
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":

@@ -26,7 +26,7 @@ from .lattice import congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER, _skip, build_bn, run_lemma
+from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER, build_bn, run_lemma, skipped
 
 SCHEMA = 1
 
@@ -205,24 +205,22 @@ def _cmd_bn_build(args, budget: Budget) -> int:
 
 
 def _run_width(ma, n: int, lemmas, budget: Budget):
-    """All requested lemmas at one width, sharing one context."""
-    reports = []
-    ctx = None
+    """All requested lemmas at one width, sharing one context.  When its
+    build runs out of budget, every plain lemma is skipped on that one
+    failure; k-collapse still runs on its own K-extended build."""
+    reports, ctx, failed = [], None, None
     for lemma in lemmas:
         if lemma == "k-collapse":
-            if n < KCOLLAPSE_MIN_N:
-                continue
-            reports.append(run_lemma(lemma, ma, n, budget=budget))
+            if n >= KCOLLAPSE_MIN_N:
+                reports.append(run_lemma(lemma, ma, n, budget=budget))
             continue
-        if ctx is None:
+        if ctx is None and failed is None:
             try:
                 ctx = build_bn(ma, n, budget)
             except BudgetExceeded as exc:
-                reports.extend(
-                    _skip(lm, n, exc, time.monotonic())
-                    for lm in lemmas if lm != "k-collapse")
-                break
-        reports.append(run_lemma(lemma, ma, n, budget=budget, ctx=ctx))
+                failed = exc
+        reports.append(skipped(lemma, n, failed) if failed else
+                       run_lemma(lemma, ma, n, budget=budget, ctx=ctx))
     return reports
 
 

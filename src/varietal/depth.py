@@ -83,23 +83,20 @@ def pair_depth_graph(system: TranslationSystem, a: int, b: int, *,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     """The pair walk from (a, b), a layer at a time: its pairs' images
     under every map, gathered from table columns as codes min * N + max,
-    in chunks of at most max_signatures cells (the cell budget of the
-    automaton layer).  New pairs are only appended, so depths never
-    decrease in insertion order."""
+    in the blocks of `Budget.blocks`.  New pairs are only appended, so
+    depths never decrease in insertion order."""
     table = system.table
     size = table.shape[1]
     source = (a, b) if a <= b else (b, a)
     depth = {source: 0}
     seen = frontier = np.array([source[0] * size + source[1]])
-    step = max(1, budget.max_signatures // max(1, len(table)))
     d = 0
     while len(frontier):
-        budget.check_time()
         xs, ys = np.divmod(frontier, size)
         xs, ys = xs[xs != ys], ys[xs != ys]
         found = [seen[:0]]
-        for lo in range(0, len(xs), step):
-            p, q = table[:, xs[lo:lo + step]], table[:, ys[lo:lo + step]]
+        for part in budget.blocks(len(xs), len(table)):
+            p, q = table[:, xs[part]], table[:, ys[part]]
             codes = np.minimum(p, q, dtype=np.int64)
             codes *= size
             codes += np.maximum(p, q, out=p)
@@ -136,19 +133,18 @@ def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
 def _pair_graph(table: np.ndarray, pairs: np.ndarray,
                 budget: Budget) -> tuple[list[int], memoryview]:
     """CSR (indptr, successors) of the pair graph, i -> j when a translation
-    maps pair i onto pair j: ranked per first element in blocks of at most
-    max_signatures cells, deduped as codes i * (P + 1) + j (rank P: x = y)."""
+    maps pair i onto pair j: ranked per first element in the blocks of
+    `Budget.blocks`, deduped as codes i * (P + 1) + j (rank P: x = y)."""
     count = len(pairs)
     # int32 ranks: fewer than 2**31 pairs for any N x N rank that fits memory
     rank = np.full((table.shape[1],) * 2, -1, dtype=np.int32)
     rank[pairs[:, 0], pairs[:, 1]] = rank[pairs[:, 1], pairs[:, 0]] = np.arange(count)
     np.fill_diagonal(rank, count)
-    step = max(1, budget.max_signatures // max(1, len(table)))
     edges, links = [np.zeros(0, dtype=np.intp)], 0
     for x in dict.fromkeys(pairs[:, 0].tolist()):
         group = np.flatnonzero(pairs[:, 0] == x)
-        for src in (group[lo:lo + step] for lo in range(0, len(group), step)):
-            budget.check_time()
+        for part in budget.blocks(len(group), len(table)):
+            src = group[part]
             ys = pairs[src, 1]
             dst = rank.take(table[:, x, None].astype(np.intp) * len(rank) + table[:, ys])
             if (dst < 0).any():

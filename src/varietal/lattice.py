@@ -18,8 +18,7 @@ Meet-semidistributivity: a ^ b = a ^ c implies a ^ b = a ^ (b v c) for
 all triples.  The check runs over the triple cube a slab of (a, b) pairs
 at a time and reports the lexicographically first violating triple.
 
-Each block or slab holds at most Budget.max_signatures cells; it is
-charged before it is allocated, and checks the deadline.
+Every block and slab comes from `Budget.blocks`.
 """
 
 from __future__ import annotations
@@ -31,17 +30,6 @@ import numpy as np
 
 from .algebra import Budget, Congruence, DEFAULT_BUDGET, _generated, _meets
 from .depth import TranslationSystem, principal_congruences
-
-
-def _blocks(count: int, unit: int, budget: Budget):
-    """range(count) in blocks of index arrays, at `unit` cells an index
-    and at most max_signatures cells a block.  Each block is charged to
-    the budget before the caller allocates it, and checks the deadline."""
-    step = max(1, budget.max_signatures // max(1, unit))
-    for lo in range(0, count, step):
-        budget.check_time()
-        budget.check_signatures(unit * min(step, count - lo))
-        yield np.arange(lo, min(lo + step, count))
 
 
 def congruence_lattice(system: TranslationSystem, *,
@@ -78,7 +66,7 @@ def congruence_lattice(system: TranslationSystem, *,
     # least forms sort in the order of the canonical labels
     table = table[np.lexsort(table.T[::-1])]
     left, right = np.triu_indices(len(table), 1)
-    for part in _blocks(len(left), size, budget):
+    for part in budget.blocks(len(left), size):
         meets = _meets(table[left[part]], table[right[part]])
         if not {row.tobytes() for row in meets} <= found.keys():
             raise ValueError("meet escaped the generated lattice")
@@ -92,7 +80,7 @@ def _joins(frontier: np.ndarray, forms: np.ndarray, xs: np.ndarray,
     relate (else theta v psi = theta), a block of rows at a time."""
     size = frontier.shape[1]
     theta, psi = np.nonzero(frontier[:, xs] != frontier[:, ys])
-    for part in _blocks(len(theta), size, budget):
+    for part in budget.blocks(len(theta), size):
         offset = (np.arange(len(part)) * size)[:, None]
         least = _generated((frontier[theta[part]] + offset).ravel(),
                            np.arange(offset.size * size),
@@ -137,7 +125,7 @@ def _least_bounds(leq: np.ndarray, what: str, budget: Budget) -> np.ndarray:
     narrow = np.min_scalar_type(n + 1)
     below = leq.sum(0, dtype=narrow)
     best = np.empty(n * n, dtype=np.intp)
-    for part in _blocks(n * n, n, budget):      # slabs of pairs (x, y)
+    for part in budget.blocks(n * n, n):      # slabs of pairs (x, y)
         xs, ys = np.divmod(part, n)
         bounds = leq[xs] & leq[ys]              # [pair, z]
         # the sentinel n + 1 outweighs every count, the top's n included
@@ -171,7 +159,7 @@ def is_meet_semidistributive(lat: Lattice, *, budget: Budget = DEFAULT_BUDGET
     lexicographic order).
     """
     meet, join = lat.meet_table, lat.join_table
-    for part in _blocks(lat.size ** 2, lat.size, budget):
+    for part in budget.blocks(lat.size ** 2, lat.size):
         a, b = np.divmod(part, lat.size)
         ab = meet[a, b][:, None]                    # [pair, 1]
         a_join = meet[a[:, None], join[b]]          # [pair, c] -> a ^ (b v c)

@@ -18,7 +18,7 @@ zero, meet, mul, J, J', S0, S1, S2, T, I, then L families by (state,
 read, t), then R families, then U1_F/U0_F per family in the same order,
 then K when present.  Every operation evaluates by its case rules; a
 dense table of an operation of arity <= 3 is filled only when a numpy
-evaluator (vector_evaluator, monotonicity_report) first asks for it.
+evaluator (vector_evaluator) first asks for it.
 """
 
 from __future__ import annotations
@@ -254,47 +254,31 @@ class MachineAlgebra:
             m_jt = self.cell("M", j, t)
             c_out = (self.cell("C", j, t, 0), self.cell("C", j, t, 1))
             d_out = (self.cell("D", j, t, 0), self.cell("D", j, t, 1))
-            c_irt = self.cell("C", i, r, t)
-            d_irt = self.cell("D", i, r, t)
-            d_s = d_out[s_ins]
-            c_s = c_out[s_ins]
-
+            # only the (H,1) and (2,H) cases differ: (argument, value) each
             if kind == "L":
-                def pos_case(x, y, u):
-                    el = elements[u]
-                    if x == one and y == one:
-                        if (el.family == "cell" and el.symbol == "C"
-                                and not el.barred and el.state == i and el.r == r):
-                            return c_out[el.s]
-                    elif x == h and y == one:
-                        if u == c_irt:
-                            return m_jt
-                    elif x == two and y == h:
-                        if u == m_ir:
-                            return d_s
-                    elif x == two and y == two:
-                        if (el.family == "cell" and el.symbol == "D"
-                                and not el.barred and el.state == i and el.r == r):
-                            return d_out[el.s]
-                    return zero
+                h1_in, h1_out = self.cell("C", i, r, t), m_jt
+                h2_in, h2_out = m_ir, d_out[s_ins]
             else:
-                def pos_case(x, y, u):
-                    el = elements[u]
-                    if x == one and y == one:
-                        if (el.family == "cell" and el.symbol == "C"
-                                and not el.barred and el.state == i and el.r == r):
-                            return c_out[el.s]
-                    elif x == h and y == one:
-                        if u == m_ir:
-                            return c_s
-                    elif x == two and y == h:
-                        if u == d_irt:
-                            return m_jt
-                    elif x == two and y == two:
-                        if (el.family == "cell" and el.symbol == "D"
-                                and not el.barred and el.state == i and el.r == r):
-                            return d_out[el.s]
-                    return zero
+                h1_in, h1_out = m_ir, c_out[s_ins]
+                h2_in, h2_out = self.cell("D", i, r, t), m_jt
+
+            def pos_case(x, y, u):
+                el = elements[u]
+                if x == one and y == one:
+                    if (el.family == "cell" and el.symbol == "C"
+                            and not el.barred and el.state == i and el.r == r):
+                        return c_out[el.s]
+                elif x == h and y == one:
+                    if u == h1_in:
+                        return h1_out
+                elif x == two and y == h:
+                    if u == h2_in:
+                        return h2_out
+                elif x == two and y == two:
+                    if (el.family == "cell" and el.symbol == "D"
+                            and not el.barred and el.state == i and el.r == r):
+                        return d_out[el.s]
+                return zero
 
             def move(x, y, u):
                 v = pos_case(x, y, u)
@@ -380,7 +364,7 @@ def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlge
 
 
 # ---------------------------------------------------------------------------
-# bulk evaluation and monotonicity checking
+# bulk evaluation
 
 def _np_table(ma: MachineAlgebra, symbol: str) -> np.ndarray:
     """The dense table of an operation of arity 1 to 3, in the narrowest
@@ -472,56 +456,3 @@ def vector_evaluator(ma: MachineAlgebra, symbol: str):
         return u0_eval
 
     raise ValueError(f"no vector evaluator for {symbol!r}")
-
-
-def monotonicity_report(ma: MachineAlgebra, *, samples: int = 1_000_000,
-                        seed: int = 0) -> dict:
-    """Check every operation for monotonicity: u <= v coordinatewise
-    implies f(u) <= f(v), where x <= y iff x in {0, y}.
-
-    Arities <= 3 are exhaustive (all argument tuples v, all zero-masks
-    giving u).  Arities 4-5 run seeded uniform samples plus an exhaustive
-    sweep over the 8 state-free elements.  Returns a report dict with
-    per-operation violation counts.
-    """
-    rng = np.random.default_rng(seed)
-    checks = []
-    ok = True
-    for op in ma.algebra.ops:
-        if op.arity == 0:
-            continue
-        k = op.arity
-        ev = vector_evaluator(ma, op.symbol)
-        violations = 0
-        if k <= 3:
-            grids = np.indices((ma.size,) * k)
-            full = ev(*grids)
-            for mask in range(1, 1 << k):
-                sel = [np.zeros_like(grids[j]) if mask >> j & 1 else grids[j]
-                       for j in range(k)]
-                low = ev(*sel)
-                violations += int(np.count_nonzero((low != 0) & (low != full)))
-            mode = "exhaustive"
-            n_checked = (ma.size ** k) * ((1 << k) - 1)
-        else:
-            grids = np.indices((8,) * k)
-            full = ev(*grids)
-            n_checked = 0
-            for mask in range(1, 1 << k):
-                sel = [np.zeros_like(grids[j]) if mask >> j & 1 else grids[j]
-                       for j in range(k)]
-                low = ev(*sel)
-                violations += int(np.count_nonzero((low != 0) & (low != full)))
-                n_checked += 8 ** k
-            vs = [rng.integers(0, ma.size, size=samples) for _ in range(k)]
-            keep = [rng.integers(0, 2, size=samples).astype(bool) for _ in range(k)]
-            us = [np.where(keep[j], vs[j], 0) for j in range(k)]
-            fv = ev(*vs)
-            fu = ev(*us)
-            violations += int(np.count_nonzero((fu != 0) & (fu != fv)))
-            n_checked += samples
-            mode = "sampled+boundary"
-        ok = ok and violations == 0
-        checks.append({"op": op.symbol, "arity": k, "mode": mode,
-                       "checked": int(n_checked), "violations": violations})
-    return {"pass": ok, "seed": seed, "samples": samples, "ops": checks}

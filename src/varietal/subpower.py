@@ -37,11 +37,10 @@ first-occurrence table of span entries, charged before it is allocated,
 keeps each code's least flat cell index (np.minimum.at).  The entries that
 were reached, sorted, are the first cells of the distinct signatures in
 first-reached order; only they are expanded back into rows.  Cells are
-coded in blocks of signature rows of at most Budget.max_signatures cells,
-one row being charged before any block is built, with one deadline check a
-block.  A translation image is coded by the alphabet positions of its
-values (capped only by int64), so np.searchsorted on the sorted elements'
-codes gives its element id.
+coded in blocks of signature rows from `Budget.blocks`.  A translation
+image is coded by the alphabet positions of its values (capped only by
+int64), so np.searchsorted on the sorted elements' codes gives its
+element id.
 
 Every integer array is as narrow as its range allows.  Automaton levels
 hold next-level state ids in the smallest unsigned dtype (uint8 in
@@ -265,14 +264,12 @@ def _row_codes(blocks, width: int, radix: int, budget: Budget,
 
 def _blocks(table: np.ndarray, sigs: np.ndarray, cols: np.ndarray,
             budget: Budget):
-    """(first signature, column) per block of signature rows, where
-    column(c)[s, e] = table[sigs[s, c], cols[c, e]] for elements e."""
-    budget.check_signatures(cols.shape[1])
-    step = budget.max_signatures // cols.shape[1]
-    for lo in range(0, len(sigs), step):
-        budget.check_time()
-        rows = np.ascontiguousarray(sigs[lo:lo + step].T)
-        yield lo, lambda c, rows=rows: table[rows[c]].take(cols[c], axis=1)
+    """(first signature, column) per block of signature rows (one row
+    being a cell per element), where column(c)[s, e] = table[sigs[s, c],
+    cols[c, e]] for elements e."""
+    for part in budget.blocks(len(sigs), cols.shape[1]):
+        rows = np.ascontiguousarray(sigs[part].T)
+        yield int(part[0]), lambda c, rows=rows: table[rows[c]].take(cols[c], axis=1)
 
 
 def _signatures(levels, elem_alpha: np.ndarray,

@@ -1,7 +1,12 @@
-"""Helpers that only the tests need, written on the package's public API
-(unlike oracles.py and altops.py, this module may import varietal)."""
+"""Helpers that only the tests need, written on the package (unlike
+oracles.py and altops.py, this module may import varietal): equiv_join
+hooks least forms with the package's own min-label helper, the rest use
+its public API."""
 
-from varietal.algebra import Congruence
+import numpy as np
+
+from varietal.algebra import Congruence, _generated
+from varietal.machine_algebra import MachineAlgebra, vector_evaluator
 from varietal.tm import TuringMachine
 
 
@@ -15,6 +20,23 @@ def spanning_pairs(cong: Congruence) -> list[tuple[int, int]]:
             pairs.append((prev[lab], i))
         prev[lab] = i
     return pairs
+
+
+def identity(size: int) -> Congruence:
+    return Congruence(tuple(range(size)))
+
+
+def full(size: int) -> Congruence:
+    return Congruence((0,) * size)
+
+
+def equiv_join(theta: Congruence, psi: Congruence) -> Congruence:
+    """Join in the lattice of equivalences (transitive closure of the
+    union).  For two congruences this is also the congruence join."""
+    if theta.size != psi.size:
+        raise ValueError(f"congruences on {theta.size} and {psi.size} elements")
+    return Congruence._of(_generated(theta._least.copy(),
+                                     np.arange(theta.size), psi._least))
 
 
 def is_identity(cong: Congruence) -> bool:
@@ -39,3 +61,56 @@ def format_tm(tm: TuringMachine) -> str:
             f" {ins.direction} {tm.states[ins.next_state]}"
         )
     return "\n".join(lines) + "\n"
+
+
+def monotonicity_report(ma: MachineAlgebra, *, samples: int = 1_000_000,
+                        seed: int = 0) -> dict:
+    """Check every operation for monotonicity: u <= v coordinatewise
+    implies f(u) <= f(v), where x <= y iff x in {0, y}.
+
+    Arities <= 3 are exhaustive (all argument tuples v, all zero-masks
+    giving u).  Arities 4-5 run seeded uniform samples plus an exhaustive
+    sweep over the 8 state-free elements.  Returns a report dict with
+    per-operation violation counts.
+    """
+    rng = np.random.default_rng(seed)
+    checks = []
+    ok = True
+    for op in ma.algebra.ops:
+        if op.arity == 0:
+            continue
+        k = op.arity
+        ev = vector_evaluator(ma, op.symbol)
+        violations = 0
+        if k <= 3:
+            grids = np.indices((ma.size,) * k)
+            full = ev(*grids)
+            for mask in range(1, 1 << k):
+                sel = [np.zeros_like(grids[j]) if mask >> j & 1 else grids[j]
+                       for j in range(k)]
+                low = ev(*sel)
+                violations += int(np.count_nonzero((low != 0) & (low != full)))
+            mode = "exhaustive"
+            n_checked = (ma.size ** k) * ((1 << k) - 1)
+        else:
+            grids = np.indices((8,) * k)
+            full = ev(*grids)
+            n_checked = 0
+            for mask in range(1, 1 << k):
+                sel = [np.zeros_like(grids[j]) if mask >> j & 1 else grids[j]
+                       for j in range(k)]
+                low = ev(*sel)
+                violations += int(np.count_nonzero((low != 0) & (low != full)))
+                n_checked += 8 ** k
+            vs = [rng.integers(0, ma.size, size=samples) for _ in range(k)]
+            keep = [rng.integers(0, 2, size=samples).astype(bool) for _ in range(k)]
+            us = [np.where(keep[j], vs[j], 0) for j in range(k)]
+            fv = ev(*vs)
+            fu = ev(*us)
+            violations += int(np.count_nonzero((fu != 0) & (fu != fv)))
+            n_checked += samples
+            mode = "sampled+boundary"
+        ok = ok and violations == 0
+        checks.append({"op": op.symbol, "arity": k, "mode": mode,
+                       "checked": int(n_checked), "violations": violations})
+    return {"pass": ok, "seed": seed, "samples": samples, "ops": checks}

@@ -12,7 +12,7 @@ import pytest
 
 import altops
 import oracles
-from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
+from varietal.algebra import Budget, FiniteAlgebra, table_op
 from varietal.cli import main
 from varietal.depth import pair_depth_graph, principal_congruences, \
     translation_system
@@ -22,15 +22,11 @@ from varietal.lattice import (
     lattice_of_congruences,
     m3_lattice,
 )
-from varietal.machine_algebra import (
-    compile_machine,
-    monotonicity_report,
-    vector_evaluator,
-)
+from varietal.machine_algebra import compile_machine, vector_evaluator
 from varietal.witness import (
     build_bn,
     explicit_chain_polynomial,
-    kprime_collapse,
+    run_lemma,
     verify_atomicity,
     verify_bn_structure,
     verify_chain,
@@ -41,6 +37,7 @@ from varietal.witness import (
     verify_support_growth,
 )
 from conftest import FIXTURES
+from support import monotonicity_report
 
 HALTING = str(FIXTURES / "halting.tm")
 
@@ -282,12 +279,7 @@ def test_criterion_11_depth_growth(ma2, ctx2, ctx3, ctx4):
         assert report.witnesses[0]["depth"] == ctx.n - 1
     # n=5 runs under its own 15 minute budget and may be skipped on it
     budget = Budget(deadline=time.monotonic() + 900.0)
-    try:
-        ctx5 = build_bn(ma2, 5, budget)
-        report = verify_depth(ctx5)
-    except BudgetExceeded:
-        report_line(11, "depth growth (n=5 SKIPPED)", t0)
-        pytest.skip("n=5 exceeded its 15 minute budget; n<=4 passed")
+    report = run_lemma("depth", ma2, 5, budget=budget)
     if report.skipped:
         report_line(11, "depth growth (n=5 SKIPPED)", t0)
         pytest.skip("n=5 exceeded its 15 minute budget; n<=4 passed")
@@ -300,7 +292,7 @@ def test_criterion_11_depth_growth(ma2, ctx2, ctx3, ctx4):
 def test_criterion_12_k_collapse(ma2_k):
     t0 = time.monotonic()
     for n in (3, 4):
-        report = kprime_collapse(ma2_k, n)
+        report = run_lemma("k-collapse", ma2_k, n)
         assert report.status == "PASSED", (n, report.counterexamples)
         witness = report.witnesses[0]
         assert witness["depth"] == 1

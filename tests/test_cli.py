@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varietal import cli
+from varietal import cli, witness
 from varietal.cli import _exit_code, _parse_range, main
+from varietal.depth import TranslationSystem
 from varietal.machine_algebra import MachineAlgebra
 from varietal.tm import machine
-from varietal.witness import LemmaReport
+from varietal.witness import LEMMA_ORDER, LemmaReport
 from conftest import FIXTURES
 from support import format_tm
 
@@ -232,6 +233,33 @@ def test_verify_budget_skip(tmp_path, monkeypatch):
     assert "budget" in doc["reports"][0]["note"]
 
 
+def test_a_width_whose_build_runs_out_still_runs_k_collapse(tmp_path,
+                                                            monkeypatch):
+    """B_4 has 30 elements, over a cap of 20: its eight plain lemmas are
+    skipped on that one failed build, which is not retried, and k-collapse
+    still runs on its own K-extended build (and runs out too)."""
+    builds = []
+    real = witness.build_bn
+
+    def counting(ma, n, budget):
+        builds.append((ma.with_k, n))
+        return real(ma, n, budget)
+
+    for module in (cli, witness):
+        monkeypatch.setattr(module, "build_bn", counting)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--tm", HALTING, "--n", "2..4",
+                 "--max-elements", "20", "--out", str(out)]) == 3
+    doc = read_doc(out)
+    assert [(r["lemma"], r["status"]) for r in doc["reports"] if r["n"] == 4] \
+        == [(lemma, "SKIPPED") for lemma in LEMMA_ORDER]
+    assert len(doc["reports"]) == 26 and doc["skipped"] == 11
+    assert builds.count((False, 4)) == 1 and builds.count((True, 4)) == 1
+    k4 = doc["reports"][-1]
+    assert k4["note"] == "budget exhausted: budget exceeded: max_elements (26 > 20)"
+    assert k4["stats"] == {"universe": 0, "pairs": 0, "seconds": 0.0}
+
+
 def test_verify_charges_every_width_to_one_budget(tmp_path, monkeypatch):
     """VARIETAL_BUDGET_SECONDS caps the whole run, not each width."""
     budgets = []
@@ -415,11 +443,15 @@ def test_sd_meet_reports_an_escaped_meet(tmp_path, monkeypatch):
 
 
 def test_sd_meet_names_the_cell_cap_of_the_lattice(monkeypatch, capsys):
-    """A label row over max_signatures stops the lattice with exit 3."""
+    """A label row over max_signatures stops the lattice with exit 3.  The
+    lattice is taken over the first `cap` translation maps of B_2 only, so
+    each block of its pair pass, at one cell a map, fits the cap and the
+    label rows of six cells are what go over it."""
     real = cli.congruence_lattice
 
     def narrow(system, *, budget):
         cap = system.table.shape[1] - 1
+        system = TranslationSystem(system.table[:cap], system.steps[:cap])
         return real(system, budget=dataclasses.replace(budget, max_signatures=cap))
 
     monkeypatch.setattr(cli, "congruence_lattice", narrow)

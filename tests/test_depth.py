@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -87,7 +88,7 @@ class GatherLog(np.ndarray):
 
     def __getitem__(self, key):
         if isinstance(key, tuple):
-            self.log.append(len(key[1]))
+            self.log.append(np.size(key[1]))
         return np.asarray(super().__getitem__(key))
 
 
@@ -105,6 +106,54 @@ def test_pair_bfs_chunks_follow_the_cell_budget_not_max_pairs(ctx3):
         assert pair_depth_graph(logged, ctx3.a_id, ctx3.zero_id,
                                 budget=budget).depth == full
         assert max(table.log) == cells // maps
+
+
+def test_pair_passes_charge_a_block_before_they_gather_it(ctx3):
+    """A pair's column of images takes one cell a map: 103 on B_3, over a
+    cap of 50, so neither the walk nor the pair graph gathers a block."""
+    system = ctx3.system()
+    assert len(system.table) == 103
+    table = system.table.view(GatherLog)
+    table.log = []
+    logged = TranslationSystem(table, system.steps)
+    pairs = list(combinations(range(ctx3.subpower.size), 2))
+    for run in (lambda budget: pair_depth_graph(logged, ctx3.a_id, ctx3.zero_id,
+                                                budget=budget),
+                lambda budget: principal_congruences(logged, pairs, budget=budget)):
+        with pytest.raises(BudgetExceeded) as info:
+            run(Budget(max_signatures=50))
+        assert info.value.what == "max_signatures"
+        assert "103 > 50" in str(info.value)
+    assert table.log == []
+
+
+def test_pair_walk_checks_the_deadline_once_per_block(ctx3):
+    """At one pair a block, the walk checks the deadline at every pair it
+    expands, so a deadline passing inside a layer stops that layer."""
+    system = ctx3.system()
+    ticks, limit = [], None
+
+    class Ticking(Budget):
+        def check_time(self):
+            ticks.append(None)
+            if limit is not None and len(ticks) > limit:
+                raise BudgetExceeded("max_seconds")
+
+    def walk():
+        ticks.clear()
+        return pair_depth_graph(system, ctx3.a_id, ctx3.zero_id,
+                                budget=Ticking(max_signatures=len(system.table)))
+
+    # every reached pair off the diagonal is expanded once
+    layers = Counter(d for (x, y), d in walk().depth.items() if x != y)
+    assert len(ticks) == sum(layers.values())
+    layer, width = layers.most_common(1)[0]
+    assert width >= 2
+    # the deadline passes after the first pair of that layer
+    limit = sum(count for d, count in layers.items() if d < layer) + 1
+    with pytest.raises(BudgetExceeded) as info:
+        walk()
+    assert info.value.what == "max_seconds" and len(ticks) == limit + 1
 
 
 def test_cap_is_a_prefix_of_the_uncapped_graph(ctx2, ctx3, ctx4):

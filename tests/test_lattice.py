@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from support import spanning_pairs
+from support import equiv_join, spanning_pairs
 from varietal import lattice
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.depth import principal_congruences, translation_system
@@ -50,7 +50,7 @@ def test_con_b2_is_closed_under_meet_and_join(con_b2):
     labels = {c.labels for c in con_b2}
     for a, b in product(con_b2, repeat=2):
         assert a.meet(b).labels in labels
-        assert a.equiv_join(b).labels in labels
+        assert equiv_join(a, b).labels in labels
 
 
 def assert_compatible(op_values, cong):
@@ -76,7 +76,7 @@ def test_lattice_joins_match_generated_congruences(ctx3, con_b3, b3_op_values):
     generated by both spanning-pair lists is the same."""
     for theta, psi in product(con_b3, repeat=2):
         seeds = spanning_pairs(theta) + spanning_pairs(psi)
-        assert theta.equiv_join(psi).labels == oracles.bucket_congruence(
+        assert equiv_join(theta, psi).labels == oracles.bucket_congruence(
             ctx3.subpower.size, b3_op_values, seeds)
 
 
@@ -249,19 +249,27 @@ def test_congruence_lattice_honours_an_expired_deadline(ctx3, monkeypatch):
 
 
 def test_a_label_row_over_the_cell_cap_is_refused_before_any_block(
-        ctx3, monkeypatch):
+        monkeypatch):
+    """One translation map (the identity) on five elements: every block of
+    the pair pass, at one cell a pair, fits a cap of size - 1 cells, so it
+    is the lattice's own label rows, of size cells, that go over it."""
+    size = 5
+    system = translation_system(FiniteAlgebra(
+        size, (table_op("id", 1, size, range(size)),)))
+    assert len(system.table) == 1
     calls = []
     for name in ("_generated", "_meets"):
         real = getattr(lattice, name)
         monkeypatch.setattr(lattice, name,
                             lambda *a, _real=real: calls.append(a) or _real(*a))
-    size = ctx3.subpower.size
     with pytest.raises(BudgetExceeded) as exc:
-        congruence_lattice(ctx3.system(), budget=Budget(max_signatures=size - 1))
+        congruence_lattice(system, budget=Budget(max_signatures=size - 1))
     assert exc.value.what == "max_signatures" and calls == []
-    # one label row per block is enough, and gives the same lattice
-    assert congruence_lattice(ctx3.system(), budget=Budget(max_signatures=size)) \
-        == congruence_lattice(ctx3.system())
+    assert str(exc.value) == "budget exceeded: max_signatures (5 > 4)"
+    # one label row per block is enough, and gives the same lattice: every
+    # partition of five elements
+    narrow = congruence_lattice(system, budget=Budget(max_signatures=size))
+    assert len(narrow) == 52 and narrow == congruence_lattice(system)
 
 
 def test_a_join_dropped_by_the_closure_escapes_as_a_meet(monkeypatch):

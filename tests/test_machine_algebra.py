@@ -5,12 +5,11 @@ import pytest
 
 import altops
 from conftest import FIXTURES
-from support import flat_leq
+from support import flat_leq, monotonicity_report
 from varietal import cli
 from varietal.machine_algebra import (
     _np_table,
     compile_machine,
-    monotonicity_report,
     parse_element_name,
     vector_evaluator,
 )
@@ -236,6 +235,24 @@ def test_selector_tables_match_altops(ma2, ma2_k):
         assert names[jp_op(x, y, z)] == \
             altops.alt_jprime(names[x], names[y], names[z])
         assert names[k_op(x, y, z)] == altops.alt_k(names[x], names[y], names[z])
+
+
+@pytest.mark.parametrize("fixture", ["ma2", "ma3"])
+def test_move_tables_match_altops(request, fixture):
+    """Every cell of the dense table of every L and R operation."""
+    ma = request.getfixturevalue(fixture)
+    names = ma.names
+    moves = 0
+    for ins in ma.machine.sorted_instructions():
+        for t in (0, 1):
+            sym = f"{ins.direction}[{ins.state},{ins.read},{t}]"
+            got = [names[v] for v in _np_table(ma, sym).ravel().tolist()]
+            want = [altops.alt_move(ins.direction, ins.state, ins.read,
+                                    ins.write, ins.next_state, t, x, y, u)
+                    for x, y, u in product(names, repeat=3)]
+            assert got == want, sym
+            moves += 1
+    assert moves == 2 * len(ma.machine.sorted_instructions())
 
 
 def test_bar_name_helper_matches(ma2):

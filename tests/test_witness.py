@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import FIXTURES
 from varietal import depth as depth_module, witness
-from varietal.algebra import Budget, TranslationStep
+from varietal.algebra import Budget, BudgetExceeded, TranslationStep
 from varietal.cli import main
 from varietal.depth import maltsev_depth, pair_depth_graph, \
     translation_system
@@ -20,6 +20,7 @@ from varietal.witness import (
     explicit_chain_polynomial,
     kprime_collapse,
     run_lemma,
+    skipped,
     verify_f_characterization,
     verify_nonzero_ops,
     verify_subalgebra_omission,
@@ -137,10 +138,14 @@ def test_lemma_passes(request, ma2, lemma, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_k_collapse_passes(ma2_k, n):
-    report = kprime_collapse(ma2_k, n)
-    assert report.status == "PASSED", report.counterexamples
-    assert report.witnesses[0]["depth"] == 1
+def test_k_collapse_passes(ma2, ma2_k, n):
+    # run_lemma builds its own context on the K-extended algebra, from the
+    # plain algebra or from one already compiled with K
+    for ma in (ma2, ma2_k):
+        report = run_lemma("k-collapse", ma, n)
+        assert report.status == "PASSED", report.counterexamples
+        assert report.witnesses[0]["depth"] == 1
+        assert report.stats["universe"] == {3: 18, 4: 54}[n]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -156,18 +161,18 @@ def test_kprime_sizes(ma2_k, kctx3):
     assert build_bn(ma2_k, 4).subpower.size == 54
 
 
-def test_kprime_shortcut_element(ma2_k, kctx3):
-    report = kprime_collapse(ma2_k, 3)
+def test_kprime_shortcut_element(kctx3):
+    report = kprime_collapse(kctx3)
     assert report.witnesses[0]["b_prime"] == ["D", "bD", "bD"]
     assert ("D", "bD", "bD") in {tuple(kctx3.render(t))
                                  for t in kctx3.subpower.elements}
 
 
-def test_kprime_guards(ma2, ma2_k):
+def test_kprime_guards(ma2_k, ctx3):
     with pytest.raises(ValueError):
-        kprime_collapse(ma2, 3)
+        kprime_collapse(ctx3)
     with pytest.raises(ValueError):
-        kprime_collapse(ma2_k, 2)
+        kprime_collapse(build_bn(ma2_k, 2))
 
 
 @pytest.mark.parametrize("n,depth", [(2, 1), (3, 2), (4, 3)])
@@ -275,16 +280,48 @@ def test_nonzero_ops_charges_each_value_grid(ma2):
     ctx = build_bn(ma2, 2, budget)
     for op in ctx.subpower.base.ops:
         op_image(ctx.subpower, op.symbol, budget)
-    report = verify_nonzero_ops(ctx)
+    report = run_lemma("nonzero-ops", ma2, 2, budget=budget, ctx=ctx)
     assert report.status == "SKIPPED"
     assert "max_elements" in report.note and "81 > 80" in report.note
+    assert report.stats["universe"] == 6 and report.stats["pairs"] == 0
 
 
 def test_nonzero_ops_honours_an_expired_deadline(ctx2):
     ctx = dataclasses.replace(ctx2, budget=Budget(deadline=time.monotonic() - 1))
-    report = verify_nonzero_ops(ctx)
+    report = run_lemma("nonzero-ops", ctx.algebra, 2, ctx=ctx)
     assert report.status == "SKIPPED"
     assert "max_seconds" in report.note
+
+
+def test_verifiers_let_an_exhausted_budget_propagate(ctx2):
+    ctx = dataclasses.replace(ctx2, budget=Budget(deadline=time.monotonic() - 1))
+    with pytest.raises(BudgetExceeded):
+        verify_nonzero_ops(ctx)
+
+
+def test_run_lemma_skips_a_failed_build(ma2):
+    report = run_lemma("depth", ma2, 4, budget=Budget(max_elements=20))
+    assert report.to_json() == skipped("depth", 4, BudgetExceeded(
+        "max_elements", "28 > 20")).to_json()
+    assert report.to_json()["stats"] == {"universe": 0, "pairs": 0,
+                                         "seconds": 0.0}
+
+
+def test_run_lemma_calls_the_verifier_bound_in_witness_when_called(
+        ma2, ctx2, monkeypatch):
+    """Verifiers are looked up by name at each call, so a patched (or a
+    traced) binding is the one run_lemma runs; it fills the stats."""
+    calls = []
+
+    def fake(ctx):
+        calls.append(ctx)
+        return LemmaReport("depth", ctx.n, passed=True, stats={"pairs": 7})
+
+    monkeypatch.setattr(witness, "verify_depth", fake)
+    report = run_lemma("depth", ma2, 2, ctx=ctx2)
+    assert calls == [ctx2]
+    assert report.stats["universe"] == 6 and report.stats["pairs"] == 7
+    assert report.stats["seconds"] >= 0.0
 
 
 def test_s2_acts_at_later_coordinates_only(ctx2):
