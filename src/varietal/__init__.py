@@ -10,10 +10,10 @@ from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
 from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
     lattice_of_congruences, m3_lattice
 from .machine_algebra import Element, MachineAlgebra, compile_machine, \
-    parse_element_name, vector_evaluator
+    vector_evaluator
 from .subpower import Subpower, close_subpower, op_image, translation_maps
-from .tm import Configuration, Instruction, RunOutcome, TMError, \
-    TuringMachine, load_tm, machine, parse_tm, run_bounded
+from .tm import Instruction, RunOutcome, TMError, TuringMachine, load_tm, \
+    machine, parse_tm, run_bounded
 from .witness import BnContext, LEMMA_ORDER, LemmaReport, build_bn, \
     explicit_chain_polynomial, kprime_collapse, run_lemma, verify_atomicity, \
     verify_bn_structure, verify_chain, verify_depth, \

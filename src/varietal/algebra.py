@@ -134,17 +134,6 @@ class FiniteAlgebra:
                 return op
         raise KeyError(f"unknown operation {symbol!r}")
 
-    def eval(self, symbol: str, args: Sequence[int]) -> int:
-        op = self.op(symbol)
-        if len(args) != op.arity:
-            raise ValueError(
-                f"{symbol} takes {op.arity} arguments, got {len(args)}"
-            )
-        for a in args:
-            if not (0 <= a < self.size):
-                raise ValueError(f"element index {a} out of range")
-        return op.func(*args)
-
 
 @dataclass(frozen=True)
 class TranslationStep:
@@ -207,8 +196,8 @@ def _meets(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Congruence:
     """A partition in canonical form: labels[i] is the block id of element
-    i, blocks numbered 0.. in order of least member.  Meets and
-    refinement work on the labels as a numpy array."""
+    i, blocks numbered 0.. in order of least member.  Refinement works
+    on the labels as a numpy array."""
 
     labels: tuple[int, ...]
     _array: np.ndarray = field(init=False, repr=False, compare=False)
@@ -265,10 +254,6 @@ class Congruence:
     def _check_same_size(self, other: "Congruence"):
         if self.size != other.size:
             raise ValueError(f"congruences on {self.size} and {other.size} elements")
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        self._check_same_size(other)
-        return Congruence._of(_meets(self._least[None], other._least[None])[0])
 
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""

@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``verify``,
-``depth``, ``sd-meet``.  All structured output is JSON with
+``depth``, ``sd-meet``.  Each leaf parser names its handler with
+``set_defaults(run=...)``, and `main` calls ``args.run(args, budget)``
+inside the one set of error handlers.  All structured output is JSON with
 ``"schema": 1``, sorted keys, two-space indent, and a trailing newline;
 identical arguments give byte-identical documents; verify only echoes
 --seed, as no check samples.  Timings are zeroed without --timings.
@@ -121,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file", help="machine description file")
     run_p.add_argument("--max-steps", type=_count, default=10_000)
     run_p.add_argument("--out")
+    run_p.set_defaults(run=_cmd_tm_run)
 
     alg_p = sub.add_parser("algebra", help="algebra compilation")
     alg_sub = alg_p.add_subparsers(dest="algebra_command", required=True)
@@ -128,12 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--tm", required=True)
     build_p.add_argument("--with-k", action="store_true")
     build_p.add_argument("--out")
+    build_p.set_defaults(run=_cmd_algebra_build)
 
     bn_p = sub.add_parser("bn", help="witness subpower commands")
     bn_sub = bn_p.add_subparsers(dest="bn_command", required=True)
     bn_build = bn_sub.add_parser("build", help="close the witness generators")
     _add_common(bn_build)
     bn_build.add_argument("--with-k", action="store_true")
+    bn_build.set_defaults(run=_cmd_bn_build)
 
     verify_p = sub.add_parser("verify", help="run the lemma suite")
     _add_common(verify_p)
@@ -141,9 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="echoed in the document; changes no verdict")
     verify_p.add_argument("--lemma", choices=LEMMA_ORDER,
                           help="restrict to one lemma")
+    verify_p.set_defaults(run=_cmd_verify)
 
     depth_p = sub.add_parser("depth", help="witness pair depth per width")
     _add_common(depth_p)
+    depth_p.set_defaults(run=_cmd_depth)
 
     sd_p = sub.add_parser("sd-meet", help="congruence lattice SD-meet check")
     sd_p.add_argument("--tm")
@@ -152,6 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="check the built-in failing lattice instead")
     _add_caps(sd_p)
     sd_p.add_argument("--out")
+    sd_p.set_defaults(run=_cmd_sd_meet)
     return top
 
 
@@ -299,9 +307,8 @@ def _cmd_sd_meet(args, budget: Budget) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     seconds = _budget_seconds()
@@ -311,26 +318,13 @@ def main(argv=None) -> int:
         return 2
     budget = _budget(args, seconds)
     try:
-        if args.command == "tm":
-            return _cmd_tm_run(args, budget)
-        if args.command == "algebra":
-            return _cmd_algebra_build(args, budget)
-        if args.command == "bn":
-            return _cmd_bn_build(args, budget)
-        if args.command == "verify":
-            return _cmd_verify(args, budget)
-        if args.command == "depth":
-            return _cmd_depth(args, budget)
-        if args.command == "sd-meet":
-            return _cmd_sd_meet(args, budget)
+        return args.run(args, budget)
     except (TMError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

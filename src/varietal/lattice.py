@@ -4,7 +4,8 @@ The congruence lattice is generated from the principal congruences:
 every congruence is the join of the principals it contains, so closing
 the principals (one pass over the pair graph, sinks first: Mal'cev) and
 the identity under joins with a principal yields the whole lattice.  The
-closure works on least forms (see `algebra`) a frontier at a time: each
+closure works on least forms (see `algebra`) a frontier at a time.  The
+first round joins each two incomparable principals once; each later
 round joins every congruence the last round found with every principal
 whose generating pair it does not relate.  A join needs no translations,
 only the transitive closure of the union, so a block of joins is one
@@ -52,15 +53,19 @@ def congruence_lattice(system: TranslationSystem, *,
     first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
     forms = np.array([cgs[i]._least for i in first], dtype=np.intp).reshape(-1, size)
     found = {row.tobytes(): row for row in [np.arange(size), *forms]}
-    frontier = forms       # identity v psi = psi: the identity needs no joins
+    xs, ys = xs[first], ys[first]
+    # round one: each two principals, neither relating the other's pair
+    apart = forms[:, xs] != forms[:, ys]
+    frontier, pairs = forms, np.nonzero(np.triu(apart & apart.T, 1))
     while len(frontier):
         fresh = {}
-        for block in _joins(frontier, forms, xs[first], ys[first], budget):
+        for block in _joins(frontier, forms, *pairs, budget):
             for row in block:
                 if (key := row.tobytes()) not in found:
                     found[key] = fresh[key] = row
         budget.check_elements(len(found))
         frontier = np.array(list(fresh.values()), dtype=np.intp).reshape(-1, size)
+        pairs = np.nonzero(frontier[:, xs] != frontier[:, ys])
 
     table = np.array(list(found.values()))
     # least forms sort in the order of the canonical labels
@@ -73,13 +78,11 @@ def congruence_lattice(system: TranslationSystem, *,
     return [Congruence._of(row) for row in table]
 
 
-def _joins(frontier: np.ndarray, forms: np.ndarray, xs: np.ndarray,
-           ys: np.ndarray, budget: Budget):
-    """Least forms of theta v psi for each frontier row theta and each
-    principal psi = forms[i] whose pair (xs[i], ys[i]) theta does not
-    relate (else theta v psi = theta), a block of rows at a time."""
+def _joins(frontier: np.ndarray, forms: np.ndarray, theta: np.ndarray,
+           psi: np.ndarray, budget: Budget):
+    """Least forms of frontier[theta[k]] v forms[psi[k]] for each k, a
+    block of rows at a time."""
     size = frontier.shape[1]
-    theta, psi = np.nonzero(frontier[:, xs] != frontier[:, ys])
     for part in budget.blocks(len(theta), size):
         offset = (np.arange(len(part)) * size)[:, None]
         least = _generated((frontier[theta[part]] + offset).ravel(),
@@ -96,12 +99,6 @@ class Lattice:
     size: int
     join_table: np.ndarray
     meet_table: np.ndarray
-
-    def join(self, x: int, y: int) -> int:
-        return int(self.join_table[x, y])
-
-    def meet(self, x: int, y: int) -> int:
-        return int(self.meet_table[x, y])
 
     @staticmethod
     def from_order(leq: Sequence[Sequence[bool]], *,

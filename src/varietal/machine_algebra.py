@@ -13,17 +13,18 @@ each instruction family).  An optional extra operation K collapses barred
 twins.  Every operation is monotone for x <= y iff x in {0, y}.
 
 Canonical element order: 0, then 1, 2, H, then C, D, bC, bD, then cells
-sorted by (state, letter, r, s, barred).  Canonical operation order:
-zero, meet, mul, J, J', S0, S1, S2, T, I, then L families by (state,
-read, t), then R families, then U1_F/U0_F per family in the same order,
-then K when present.  Every operation evaluates by its case rules; a
-dense table of an operation of arity <= 3 is filled only when a numpy
-evaluator (vector_evaluator) first asks for it.
+sorted by (state, letter, r, s, barred).  `Element.name()` is the one
+name grammar: `MachineAlgebra.names` lists the names in that order and
+`MachineAlgebra.idx` maps a name back to its index.  Canonical
+operation order: zero, meet, mul, J, J', S0, S1, S2, T, I, then L
+families by (state, read, t), then R families, then U1_F/U0_F per family
+in the same order, then K when present.  Every operation evaluates by
+its case rules; a dense table of an operation of arity <= 3 is filled
+only when a numpy evaluator (vector_evaluator) first asks for it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -63,28 +64,6 @@ class Element:
         return f"{prefix}{self.symbol}[{self.state},{self.r}]^{self.s}"
 
 
-_CELL_RE = re.compile(r"^(b?)([CD])\[(\d+),([01])\]\^([01])$")
-_MCELL_RE = re.compile(r"^(b?)M\[(\d+)\]\^([01])$")
-_PLAIN = {"0": Element("zero"),
-          "1": Element("head", "1"), "2": Element("head", "2"), "H": Element("head", "H"),
-          "C": Element("letter", "C"), "D": Element("letter", "D"),
-          "bC": Element("letter", "C", barred=True), "bD": Element("letter", "D", barred=True)}
-
-
-def parse_element_name(text: str) -> Element:
-    if text in _PLAIN:
-        return _PLAIN[text]
-    m = _CELL_RE.match(text)
-    if m:
-        return Element("cell", m.group(2), int(m.group(3)), int(m.group(4)),
-                       int(m.group(5)), m.group(1) == "b")
-    m = _MCELL_RE.match(text)
-    if m:
-        return Element("cell", "M", int(m.group(2)), int(m.group(3)), -1,
-                       m.group(1) == "b")
-    raise ValueError(f"bad element name {text!r}")
-
-
 def _universe(n_states: int) -> list[Element]:
     out = [Element("zero")]
     out += [Element("head", sym) for sym in ("1", "2", "H")]
@@ -111,7 +90,6 @@ class MachineAlgebra:
         self.with_k = with_k
         self.elements = tuple(_universe(len(machine.states)))
         self.size = len(self.elements)
-        self.index = {el: i for i, el in enumerate(self.elements)}
         self.names = tuple(el.name() for el in self.elements)
         self._by_name = {nm: i for i, nm in enumerate(self.names)}
 
@@ -121,7 +99,7 @@ class MachineAlgebra:
             if el.family in ("letter", "cell"):
                 twin = Element(el.family, el.symbol, el.state, el.r, el.s,
                                not el.barred)
-                bar[i] = self.index[twin]
+                bar[i] = self._by_name[twin.name()]
         self.bar_index = tuple(bar)
 
         self.one = self._by_name["1"]
@@ -150,20 +128,11 @@ class MachineAlgebra:
             raise KeyError(f"no element named {name!r}")
         return i
 
-    def name(self, i: int) -> str:
-        return self.names[i]
-
     def cell(self, letter: str, state: int, r: int, s: int = -1,
              barred: bool = False) -> int:
-        return self.index[Element("cell", letter, state, r, s, barred)]
+        return self.idx(Element("cell", letter, state, r, s, barred).name())
 
     # -- relations ---------------------------------------------------------
-
-    def bar(self, x: int) -> int:
-        b = self.bar_index[x]
-        if b < 0:
-            raise ValueError(f"bar undefined on {self.names[x]!r}")
-        return b
 
     def prec(self, x: int, z: int) -> bool:
         """Head order: 2 < 2, 2 < H, 1 < 1, nothing else."""

@@ -7,15 +7,16 @@ order of names on its ``states:`` line.  The tape is bidirectional, blank
 (0) outside a finite set of cells holding 1, and runs start on the empty
 tape with the head at cell 0.
 
-A configuration from which no instruction applies is a stall; stalls are
-reported as halting with a flag so that bounded runs always classify.
+`run_bounded` is the one machine loop, on the set of cells holding 1 and
+a (state, read) table of instructions.  A configuration from which no
+instruction applies is a stall; stalls are reported as halting with a
+flag so that bounded runs always classify.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .algebra import Budget, DEFAULT_BUDGET
@@ -94,28 +95,6 @@ class TuringMachine:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """Machine state plus tape: `ones` is the set of cells holding 1."""
-
-    state: int
-    head: int
-    ones: frozenset[int]
-
-    def read(self) -> int:
-        return 1 if self.head in self.ones else 0
-
-
-class _Halted:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "HALTED"
-
-
-HALTED = _Halted()
-
-
-@dataclass(frozen=True)
 class RunOutcome:
     halted: bool
     steps: int | None = None
@@ -124,32 +103,6 @@ class RunOutcome:
     @property
     def status(self) -> str:
         return "HALTED" if self.halted else "RUNNING"
-
-
-def initial_configuration() -> Configuration:
-    return Configuration(state=1, head=0, ones=frozenset())
-
-
-@lru_cache(maxsize=None)
-def _table(tm: TuringMachine) -> dict[tuple[int, int], Instruction]:
-    return {(ins.state, ins.read): ins for ins in tm.instructions}
-
-
-def step(tm: TuringMachine, config: Configuration):
-    """One move.  Returns the next Configuration, or HALTED when the state
-    is the halting state or no instruction matches (a stall)."""
-    if config.state == tm.halting_state:
-        return HALTED
-    ins = _table(tm).get((config.state, config.read()))
-    if ins is None:
-        return HALTED
-    ones = config.ones
-    if ins.write == 1:
-        ones = ones | {config.head}
-    elif config.head in ones:
-        ones = ones - {config.head}
-    head = config.head - 1 if ins.direction == "L" else config.head + 1
-    return Configuration(state=ins.next_state, head=head, ones=ones)
 
 
 def run_bounded(tm: TuringMachine, max_steps: int,
@@ -163,18 +116,21 @@ def run_bounded(tm: TuringMachine, max_steps: int,
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    config = initial_configuration()
+    table = {(ins.state, ins.read): ins for ins in tm.instructions}
+    state, head, ones = tm.initial_state, 0, set()
     for k in range(max_steps + 1):
-        if config.state == tm.halting_state:
+        if state == tm.halting_state:
             return RunOutcome(halted=True, steps=k)
         if k == max_steps:
             break
         if not k & 0xFFFF:
             budget.check_time()
-        nxt = step(tm, config)
-        if nxt is HALTED:
+        ins = table.get((state, int(head in ones)))
+        if ins is None:
             return RunOutcome(halted=True, steps=k, stalled=True)
-        config = nxt
+        (ones.add if ins.write else ones.discard)(head)
+        head += 1 if ins.direction == "R" else -1
+        state = ins.next_state
     return RunOutcome(halted=False)
 
 

@@ -549,14 +549,23 @@ LEMMA_ORDER = tuple(VERIFIERS)
 
 
 def run_lemma(lemma: str, ma: MachineAlgebra, n: int, *,
-              budget: Budget = DEFAULT_BUDGET,
+              budget: Budget | None = None,
               ctx: BnContext | None = None) -> LemmaReport:
     """Run one named verifier at width n, on `ctx` or on a context built
     here; k-collapse builds its own on the K-extended algebra of the same
-    machine, compiled once per `ma`.  The only place a lemma is timed,
-    is skipped when its budget runs out, and gets its stats."""
+    machine, compiled once per `ma`.  A given `ctx` is the one scope of
+    the run, k-collapse's build included: an `n`, `ma` or `budget` not its
+    own raises ValueError.  The only place a lemma is timed, is skipped
+    when its budget runs out, and gets its stats."""
     if lemma not in VERIFIERS:
         raise ValueError(f"unknown lemma {lemma!r}")
+    if ctx is not None:
+        if n != ctx.n or ma is not ctx.algebra or \
+                (budget is not None and budget is not ctx.budget):
+            raise ValueError("n, ma and budget must be those of the ctx")
+        budget = ctx.budget
+    elif budget is None:
+        budget = DEFAULT_BUDGET
     if lemma == "k-collapse":
         ma, ctx = (ma if ma.with_k else ma.k_extended), None
     t0 = time.monotonic()

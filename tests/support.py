@@ -1,13 +1,52 @@
 """Helpers that only the tests need, written on the package (unlike
 oracles.py and altops.py, this module may import varietal): equiv_join
-hooks least forms with the package's own min-label helper, the rest use
-its public API."""
+and equiv_meet work on least forms with the package's own min-label and
+meet helpers, the rest use its public API."""
+
+from typing import Sequence
 
 import numpy as np
 
-from varietal.algebra import Congruence, _generated
+from varietal.algebra import Congruence, FiniteAlgebra, _generated, _meets
+from varietal.lattice import Lattice
 from varietal.machine_algebra import MachineAlgebra, vector_evaluator
 from varietal.tm import TuringMachine
+
+
+def eval_op(alg: FiniteAlgebra, symbol: str, args: Sequence[int]) -> int:
+    """One operation of `alg` on element indices, checking the arity and
+    that every index is in the universe."""
+    op = alg.op(symbol)
+    if len(args) != op.arity:
+        raise ValueError(f"{symbol} takes {op.arity} arguments, got {len(args)}")
+    for a in args:
+        if not (0 <= a < alg.size):
+            raise ValueError(f"element index {a} out of range")
+    return op.func(*args)
+
+
+def bar(ma: MachineAlgebra, x: int) -> int:
+    """The barred twin of a letter or cell; ValueError elsewhere."""
+    b = ma.bar_index[x]
+    if b < 0:
+        raise ValueError(f"bar undefined on {ma.names[x]!r}")
+    return b
+
+
+def equiv_meet(theta: Congruence, psi: Congruence) -> Congruence:
+    """Meet of two partitions (the common refinement): one row-wise meet
+    of their least forms."""
+    if theta.size != psi.size:
+        raise ValueError(f"congruences on {theta.size} and {psi.size} elements")
+    return Congruence._of(_meets(theta._least[None], psi._least[None])[0])
+
+
+def lattice_join(lat: Lattice, x: int, y: int) -> int:
+    return int(lat.join_table[x, y])
+
+
+def lattice_meet(lat: Lattice, x: int, y: int) -> int:
+    return int(lat.meet_table[x, y])
 
 
 def spanning_pairs(cong: Congruence) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ from varietal.witness import (
     verify_support_growth,
 )
 from conftest import FIXTURES
-from support import monotonicity_report
+from support import eval_op, monotonicity_report
 
 HALTING = str(FIXTURES / "halting.tm")
 
@@ -140,7 +140,7 @@ def test_criterion_02_operation_tables(ma2, ma2_k, ma3):
     for ma, cases in ((ma2, CASES_2STATE), (ma3, CASES_3STATE),
                       (ma2_k, CASES_K)):
         for symbol, args, expected in cases:
-            got = ma.name(ma.algebra.eval(symbol, [ma.idx(a) for a in args]))
+            got = ma.names[eval_op(ma.algebra, symbol, [ma.idx(a) for a in args])]
             assert got == expected, (symbol, args, got, expected)
 
     names = ma2.names

@@ -93,6 +93,9 @@ def test_tm_run_parse_error(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
+    # argparse refuses a command line that stops before a leaf command
+    for argv in ([], ["tm"], ["algebra"], ["bn"]):
+        assert main(argv) == 2
     assert main(["tm", "run"]) == 2                      # missing file
     assert main(["verify"]) == 2                         # missing --tm
     assert main(["verify", "--tm", HALTING, "--n", "1"]) == 2

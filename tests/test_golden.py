@@ -1,10 +1,11 @@
 """Byte-identical CLI JSON at fixed arguments.
 
 Each file under tests/golden/ is the stdout of one command, run from the
-repository root.  A change that means to alter the JSON regenerates the
-file with the command below and says so in CHANGES.md:
+repository root: a JSON document (.json), or the status line of
+``tm run`` (.txt).  A change that means to alter the output regenerates
+the file with the command below and says so in CHANGES.md:
 
-    PYTHONPATH=src python -m varietal.cli <args> > tests/golden/<name>.json
+    PYTHONPATH=src python -m varietal.cli <args> > tests/golden/<name>.<suffix>
 """
 
 import pathlib
@@ -26,11 +27,20 @@ COMMANDS = {
     "verify_looping_n2-3": "verify --tm fixtures/looping.tm --n 2..3",
     "sd-meet_looping_n2-5": "sd-meet --tm fixtures/looping.tm --n 2..5",
     "verify_halting_n4-5": "verify --tm fixtures/halting.tm --n 4..5",
+    "tm-run_halting": "tm run fixtures/halting.tm",
+    "tm-run_looping": "tm run fixtures/looping.tm --max-steps 1000",
+    "algebra-build_halting": "algebra build --tm fixtures/halting.tm",
+    "algebra-build-k_looping": "algebra build --tm fixtures/looping.tm --with-k",
 }
+SUFFIX = {"tm": ".txt"}     # by command; every other command prints JSON
+
+
+def golden(name):
+    return GOLDEN / (name + SUFFIX.get(COMMANDS[name].split()[0], ".json"))
 
 
 def test_every_golden_file_has_a_command():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+    assert sorted(GOLDEN.iterdir()) == sorted(map(golden, COMMANDS))
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -38,4 +48,4 @@ def test_cli_json_is_byte_identical(name, monkeypatch, capsysbinary):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("VARIETAL_BUDGET_SECONDS", raising=False)
     assert main(COMMANDS[name].split()) == 0
-    assert capsysbinary.readouterr().out == (GOLDEN / f"{name}.json").read_bytes()
+    assert capsysbinary.readouterr().out == golden(name).read_bytes()

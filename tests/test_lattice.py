@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from support import equiv_join, spanning_pairs
+from support import equiv_join, equiv_meet, lattice_join, lattice_meet, \
+    spanning_pairs
 from varietal import lattice
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.depth import principal_congruences, translation_system
@@ -49,7 +50,7 @@ def test_con_b2_contents(ctx2, con_b2):
 def test_con_b2_is_closed_under_meet_and_join(con_b2):
     labels = {c.labels for c in con_b2}
     for a, b in product(con_b2, repeat=2):
-        assert a.meet(b).labels in labels
+        assert equiv_meet(a, b).labels in labels
         assert equiv_join(a, b).labels in labels
 
 
@@ -89,12 +90,12 @@ def test_congruence_lattices_are_meet_semidistributive(con_b2, con_b3):
 def test_lattice_axioms(con_b3):
     lat = lattice_of_congruences(con_b3)
     for x in range(lat.size):
-        assert lat.join(x, x) == x and lat.meet(x, x) == x
+        assert lattice_join(lat, x, x) == x and lattice_meet(lat, x, x) == x
         for y in range(lat.size):
-            assert lat.join(x, y) == lat.join(y, x)
-            assert lat.meet(x, y) == lat.meet(y, x)
-            assert lat.meet(x, lat.join(x, y)) == x
-            assert lat.join(x, lat.meet(x, y)) == x
+            assert lattice_join(lat, x, y) == lattice_join(lat, y, x)
+            assert lattice_meet(lat, x, y) == lattice_meet(lat, y, x)
+            assert lattice_meet(lat, x, lattice_join(lat, x, y)) == x
+            assert lattice_join(lat, x, lattice_meet(lat, x, y)) == x
 
 
 def test_m3_fails_meet_semidistributivity():
@@ -103,8 +104,8 @@ def test_m3_fails_meet_semidistributivity():
     assert not sd
     assert witness == (1, 2, 3)
     a, b, c = witness
-    assert lat.meet(a, b) == lat.meet(a, c) == 0
-    assert lat.meet(a, lat.join(b, c)) == a
+    assert lattice_meet(lat, a, b) == lattice_meet(lat, a, c) == 0
+    assert lattice_meet(lat, a, lattice_join(lat, b, c)) == a
 
 
 def test_from_order_rejects_non_lattices():
@@ -121,7 +122,7 @@ def test_from_order_rejects_non_lattices():
 def test_chain_is_a_lattice():
     leq = [[x <= y for y in range(4)] for x in range(4)]
     lat = Lattice.from_order(leq)
-    assert lat.join(1, 2) == 2 and lat.meet(1, 2) == 1
+    assert lattice_join(lat, 1, 2) == 2 and lattice_meet(lat, 1, 2) == 1
     sd, _ = is_meet_semidistributive(lat)
     assert sd
 
@@ -170,7 +171,8 @@ def test_from_order_matches_brute_force(leq):
     n = len(leq)
     bottom = next(x for x in range(n) if all(leq[x]))
     top = next(x for x in range(n) if all(row[x] for row in leq))
-    assert lat.join(bottom, top) == top and lat.meet(bottom, top) == bottom
+    assert lattice_join(lat, bottom, top) == top
+    assert lattice_meet(lat, bottom, top) == bottom
 
 
 # -- all of Con(A) against the partition oracle --------------------------------
@@ -291,6 +293,29 @@ def test_a_join_dropped_by_the_closure_escapes_as_a_meet(monkeypatch):
     monkeypatch.setattr(lattice, "_joins", dropping)
     with pytest.raises(ValueError, match="meet escaped the generated lattice"):
         congruence_lattice(system)
+
+
+def test_the_first_join_round_joins_each_incomparable_pair_once(
+        ctx4, monkeypatch):
+    """Every nonzero congruence of B_4 is principal, so the closure is its
+    first round alone: one join row per unordered pair of incomparable
+    principals, 55 of them.  Joining every principal with each one whose
+    pair it does not relate took 160 rows."""
+    rows = []
+    real = lattice._joins
+
+    def counting(*args):
+        for block in real(*args):
+            rows.append(len(block))
+            yield block
+
+    monkeypatch.setattr(lattice, "_joins", counting)
+    congs = congruence_lattice(ctx4.system())
+    assert len(congs) == 16
+    nonzero = [c for c in congs if c.num_blocks < c.size]
+    incomparable = sum(not a.refines(b) and not b.refines(a)
+                       for a, b in combinations(nonzero, 2))
+    assert sum(rows) == incomparable == 55
 
 
 def test_lattice_tables_and_sd_check_are_unchanged_by_slabs(con_b3):

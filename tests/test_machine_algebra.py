@@ -5,18 +5,17 @@ import pytest
 
 import altops
 from conftest import FIXTURES
-from support import flat_leq, monotonicity_report
+from support import bar, eval_op, flat_leq, monotonicity_report
 from varietal import cli
 from varietal.machine_algebra import (
     _np_table,
     compile_machine,
-    parse_element_name,
     vector_evaluator,
 )
 
 
 def ev(ma, symbol, *args):
-    return ma.name(ma.algebra.eval(symbol, [ma.idx(a) for a in args]))
+    return ma.names[eval_op(ma.algebra, symbol, [ma.idx(a) for a in args])]
 
 
 # -- universe ----------------------------------------------------------------
@@ -36,28 +35,30 @@ def test_canonical_element_order(ma2):
     assert state_of == sorted(state_of)
 
 
-def test_name_roundtrip(ma2):
-    for i, el in enumerate(ma2.elements):
-        assert parse_element_name(ma2.names[i]) == el
-        assert ma2.idx(ma2.names[i]) == i
-    for bad in ("", "Q", "C[0,2]^0", "M[1]", "bbC", "C[0,0]", "D[x,0]^1"):
-        with pytest.raises(ValueError):
-            parse_element_name(bad)
-    with pytest.raises(KeyError):
-        ma2.idx("Q")
+def test_name_roundtrip(ma2, ma3, ma2_k):
+    # Element.name() is the one name grammar: names are distinct, and idx
+    # is their inverse
+    for ma in (ma2, ma3, ma2_k):
+        assert ma.names == tuple(el.name() for el in ma.elements)
+        assert len(set(ma.names)) == ma.size
+        for i, name in enumerate(ma.names):
+            assert ma.idx(name) == i
+        for bad in ("", "Q", "C[0,2]^0", "M[1]", "bbC", "C[0,0]", "D[x,0]^1"):
+            with pytest.raises(KeyError):
+                ma.idx(bad)
 
 
 def test_bar_involution(ma2):
-    assert ma2.bar(ma2.idx("bC")) == ma2.idx("C")
-    assert ma2.bar(ma2.idx("C")) == ma2.idx("bC")
-    assert ma2.name(ma2.bar(ma2.idx("M[1]^0"))) == "bM[1]^0"
+    assert bar(ma2, ma2.idx("bC")) == ma2.idx("C")
+    assert bar(ma2, ma2.idx("C")) == ma2.idx("bC")
+    assert ma2.names[bar(ma2, ma2.idx("M[1]^0"))] == "bM[1]^0"
     for x in range(ma2.size):
         if ma2.bar_index[x] >= 0:
-            assert ma2.bar(ma2.bar(x)) == x
-            assert ma2.bar(x) != x
+            assert bar(ma2, bar(ma2, x)) == x
+            assert bar(ma2, x) != x
     for undefined in ("0", "1", "2", "H"):
         with pytest.raises(ValueError):
-            ma2.bar(ma2.idx(undefined))
+            bar(ma2, ma2.idx(undefined))
 
 
 def test_flat_order(ma2):
@@ -219,9 +220,9 @@ def test_collapse_cases(ma2_k):
 def test_meet_mul_tables_match_altops(ma2):
     names = ma2.names
     for x, y in product(range(ma2.size), repeat=2):
-        assert names[ma2.algebra.eval("meet", (x, y))] == \
+        assert names[eval_op(ma2.algebra, "meet", (x, y))] == \
             altops.alt_meet(names[x], names[y])
-        assert names[ma2.algebra.eval("mul", (x, y))] == \
+        assert names[eval_op(ma2.algebra, "mul", (x, y))] == \
             altops.alt_mul(names[x], names[y])
 
 

@@ -2,16 +2,12 @@ import pytest
 
 from support import format_tm
 from varietal.tm import (
-    HALTED,
-    Configuration,
     Instruction,
     TMError,
     TuringMachine,
-    initial_configuration,
     machine,
     parse_tm,
     run_bounded,
-    step,
 )
 
 
@@ -21,21 +17,43 @@ def test_machine_builder_roundtrip(halting_tm):
     assert parse_tm(format_tm(halting_tm)) == halting_tm
 
 
+def outcome(tm, max_steps):
+    out = run_bounded(tm, max_steps)
+    return out.halted, out.steps, out.stalled
+
+
 def test_one_left_move_lands_left_of_origin(halting_tm):
     # blank tape, head at 0: write 0, move left, enter the halting state
-    config = initial_configuration()
-    assert config == Configuration(state=1, head=0, ones=frozenset())
-    nxt = step(halting_tm, config)
-    assert nxt == Configuration(state=0, head=-1, ones=frozenset())
-    assert step(halting_tm, nxt) is HALTED
+    assert outcome(halting_tm, 1) == (True, 1, False)
+    # mid reads the blank left of the 1 written at cell 0; it has no
+    # instruction for reading 1, so a head left on cell 0 would stall
+    tm = machine(["halt", "start", "mid"],
+                 [("start", 0, 1, "L", "mid"), ("mid", 0, 0, "L", "halt")])
+    assert outcome(tm, 10) == (True, 2, False)
 
 
 def test_write_and_move_right(three_state_tm):
-    config = step(three_state_tm, initial_configuration())
-    assert config.state == three_state_tm.states.index("mid")
-    assert config.head == 1
-    assert config.ones == frozenset({0})
-    assert config.read() == 0
+    # mid reads only 1, and the cell right of the written one is blank
+    assert outcome(three_state_tm, 10) == (True, 1, True)
+    # back returns to cell 0 and halts on the 1 that start wrote there
+    tm = machine(["halt", "start", "mid", "back"],
+                 [("start", 0, 1, "R", "mid"), ("mid", 0, 0, "L", "back"),
+                  ("back", 1, 0, "L", "halt")])
+    assert outcome(tm, 10) == (True, 3, False)
+
+
+def test_halting_step_depends_on_the_write_and_both_moves():
+    """start writes 1 at cell 0 and moves left, back moves right onto it,
+    check halts on reading it.  Without the write, or with both moves
+    going the same way, check reads a blank and stalls after two moves.
+    (Swapping L and R everywhere mirrors the run on the symmetric blank
+    tape, so no bounded outcome tells it apart.)"""
+    tm = machine(["halt", "start", "back", "check"],
+                 [("start", 0, 1, "L", "back"), ("back", 0, 0, "R", "check"),
+                  ("check", 1, 0, "L", "halt")])
+    assert outcome(tm, 10) == (True, 3, False)
+    assert outcome(tm, 3) == (True, 3, False)
+    assert outcome(tm, 2) == (False, None, False)
 
 
 def test_run_bounded_halting(halting_tm):

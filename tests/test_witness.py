@@ -324,6 +324,35 @@ def test_run_lemma_calls_the_verifier_bound_in_witness_when_called(
     assert report.stats["seconds"] >= 0.0
 
 
+def test_run_lemma_refuses_a_width_algebra_or_budget_outside_its_ctx(
+        ma2, ma3, ctx2):
+    # a ctx is the run's one scope; an equal Budget that is another
+    # object is another budget
+    run_lemma("structure", ma2, 2, budget=ctx2.budget, ctx=ctx2)
+    for lemma in ("structure", "k-collapse"):
+        for n, ma, budget in ((3, ma2, None), (2, ma3, None), (2, ma2, Budget())):
+            with pytest.raises(ValueError, match="must be those of the ctx"):
+                run_lemma(lemma, ma, n, budget=budget, ctx=ctx2)
+
+
+def test_k_collapse_builds_its_k_context_under_the_budget_of_the_ctx(
+        ma2, ctx3, monkeypatch):
+    ctx = dataclasses.replace(ctx3, budget=Budget())
+    builds = []
+    real = witness.build_bn
+
+    def recording(ma, n, budget):
+        builds.append((ma.with_k, n, budget))
+        return real(ma, n, budget)
+
+    monkeypatch.setattr(witness, "build_bn", recording)
+    assert run_lemma("k-collapse", ma2, 3, ctx=ctx).status == "PASSED"
+    assert builds == [(True, 3, ctx.budget)] and builds[0][2] is ctx.budget
+    ctx.budget.deadline = time.monotonic() - 1
+    report = run_lemma("k-collapse", ma2, 3, ctx=ctx)
+    assert report.status == "SKIPPED" and "max_seconds" in report.note
+
+
 def test_s2_acts_at_later_coordinates_only(ctx2):
     sp = ctx2.subpower
     b2, d2 = ctx2.id_of(ctx2.b[2]), ctx2.id_of(ctx2.d[2])
