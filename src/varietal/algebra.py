@@ -2,12 +2,11 @@
 
 A FiniteAlgebra is an indexed universe 0..size-1 with a tuple of named
 finitary operations.  Operations evaluate on element indices; small ones
-may be backed by dense row-major tables.  Congruences are partitions in
-canonical block-id form (blocks numbered by least member); meets, joins
-and refinement are numpy operations on these label arrays.  Every
+may be backed by dense row-major tables.  A congruence is a partition in
+least form: each element labelled by its block's least member.  Every
 equivalence generated by pairs comes from one min-label hooking helper,
-and every meet from one row-wise sort; both work on least forms (each
-element labelled by its block's least member), a stack of rows at once.
+and every meet from one row-wise sort, a stack of least-form rows at
+once; refinement is one gather.
 Everything here is deterministic.  The subuniverse generated by a set of
 elements is `subpower.close_subpower` at width 1.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -148,9 +146,9 @@ class TranslationStep:
 # ---------------------------------------------------------------------------
 # congruences
 #
-# The engines keep a partition in least form: least[i] is the least member
-# of i's block.  It is as unique as the canonical labels, so its bytes key
-# a dict; it is a forest of depth one for hooking, and a gather index.
+# A partition is kept in least form: least[i] is the least member of i's
+# block.  It is unique to the partition, so its bytes key a dict; it is a
+# forest of depth one for hooking, and a gather index.
 
 def _generated(forest: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Least form of the equivalence generated by a least form `forest`
@@ -193,75 +191,57 @@ def _meets(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return first.reshape(rows, size) - (np.arange(rows) * size)[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Congruence:
-    """A partition in canonical form: labels[i] is the block id of element
-    i, blocks numbered 0.. in order of least member.  Refinement works
-    on the labels as a numpy array."""
+    """A partition in least form: least[i] is the least member of element
+    i's block, a read-only intp array.  Equal partitions have equal least
+    forms, so the bytes of `least` are its identity."""
 
-    labels: tuple[int, ...]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    least: np.ndarray
 
     def __post_init__(self):
-        array = np.array(self.labels, dtype=np.intp)
-        running = np.maximum.accumulate(array)
-        # labels start at 0, and each is at most one above all before it
-        if (array < 0).any() or (array[:1] > 0).any() or \
-                (array[1:] > running[:-1] + 1).any():
-            raise ValueError("labels not in canonical first-appearance order")
-        array.flags.writeable = False
-        object.__setattr__(self, "_array", array)
-
-    @staticmethod
-    def _of(least: np.ndarray) -> "Congruence":
-        """The congruence with this least form.  A least form from the
-        helpers above is canonical by construction, so the labels (blocks
-        numbered in order of their least members) are not checked again."""
-        least = least.astype(np.intp)
-        array = (np.cumsum(least == np.arange(len(least))) - 1)[least]
-        least.flags.writeable = array.flags.writeable = False
-        cong = object.__new__(Congruence)
-        object.__setattr__(cong, "labels", tuple(array.tolist()))
-        object.__setattr__(cong, "_array", array)
-        cong.__dict__["_least"] = least   # the cached property below
-        return cong
-
-    @cached_property
-    def _least(self) -> np.ndarray:
-        """The least member of each element's block: the first index at
-        which the running maximum of the canonical labels reaches its label."""
-        least = np.maximum.accumulate(self._array).searchsorted(self._array)
+        least = np.array(self.least, dtype=np.intp)
+        if least.ndim != 1 or (least < 0).any() or \
+                (least > np.arange(len(least))).any() or (least[least] != least).any():
+            raise ValueError("not a least form: each entry must be the least "
+                             "member of its block, at or below its own index")
         least.flags.writeable = False
-        return least
+        object.__setattr__(self, "least", least)
+
+    def __eq__(self, other):
+        if not isinstance(other, Congruence):
+            return NotImplemented
+        return self.least.tobytes() == other.least.tobytes()
+
+    def __hash__(self):
+        return hash(self.least.tobytes())
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.least)
 
     @property
     def num_blocks(self) -> int:
-        return max(self.labels) + 1 if self.labels else 0
+        return int((self.least == np.arange(self.size)).sum())
 
     def relates(self, a: int, b: int) -> bool:
-        return self.labels[a] == self.labels[b]
+        return bool(self.least[a] == self.least[b])
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for i, lab in enumerate(self.labels):
-            out[lab].append(i)
-        return out
-
-    def _check_same_size(self, other: "Congruence"):
-        if self.size != other.size:
-            raise ValueError(f"congruences on {self.size} and {other.size} elements")
+        """The blocks, in order of their least members."""
+        out: dict[int, list[int]] = {}
+        for i, root in enumerate(self.least.tolist()):
+            out.setdefault(root, []).append(i)
+        return list(out.values())
 
     def refines(self, other: "Congruence") -> bool:
         """True when every block of self lies inside a block of other."""
-        self._check_same_size(other)
-        return bool((other._array[self._least] == other._array).all())
+        if self.size != other.size:
+            raise ValueError(f"congruences on {self.size} and {other.size} elements")
+        return bool((other.least[self.least] == other.least).all())
 
     @staticmethod
     def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
         """Equivalence (not necessarily compatible) generated by pairs."""
         pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-        return Congruence._of(_generated(np.arange(size), pairs[:, 0], pairs[:, 1]))
+        return Congruence(_generated(np.arange(size), pairs[:, 0], pairs[:, 1]))

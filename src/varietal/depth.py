@@ -3,8 +3,8 @@
 A fundamental translation fixes all arguments of one operation but one
 with constants.  The pair walk from (a,b) visits the pairs {g(a), g(b)}
 over composed translations g, layer by layer, to its fixed point: layer
-0 is {a,b}, layer d+1 holds unseen images of layer-d pairs, and pairs
-are inserted in layer order.  By Mal'cev's lemma Cg(a,b) is the
+0 is {a,b}, layer d+1 holds unseen images of layer-d pairs, and the
+walk lists its pairs in layer order.  By Mal'cev's lemma Cg(a,b) is the
 equivalence generated by the reached pairs, so one walk serves Cg(a,b),
 depth and f-char: a pair (c,d) lies in Cg(a,b) iff c and d are joined by
 a path of reached pairs.  The chain depth of (c,d) is the least M such
@@ -68,29 +68,30 @@ def translation_system(target: FiniteAlgebra | Subpower,
 
 @dataclass(eq=False)
 class PairDepthGraph:
-    """Minimum translation counts for every unordered pair reached from
-    the source pair, in layer order, on a universe of `size` elements."""
+    """The pair walk from a source pair on a universe of `size` elements:
+    `pairs` is a (P, 2) intp array of the reached pairs (x, y), x <= y, in
+    layer order, and depth[i] is the layer of pairs[i], the least number
+    of translations that take the source pair onto it."""
 
     size: int
-    depth: dict[tuple[int, int], int]
+    pairs: np.ndarray
+    depth: np.ndarray
 
     def congruence(self) -> Congruence:
         """Cg of the source pair: the equivalence the reached pairs generate."""
-        return Congruence.from_pairs(self.size, self.depth)
+        return Congruence(_generated(np.arange(self.size), *self.pairs.T))
 
 
 def pair_depth_graph(system: TranslationSystem, a: int, b: int, *,
                      budget: Budget = DEFAULT_BUDGET) -> PairDepthGraph:
     """The pair walk from (a, b), a layer at a time: its pairs' images
     under every map, gathered from table columns as codes min * N + max,
-    in the blocks of `Budget.blocks`.  New pairs are only appended, so
-    depths never decrease in insertion order."""
+    in the blocks of `Budget.blocks`.  Each layer's new codes are sorted
+    and appended, so depths never decrease along the pairs."""
     table = system.table
     size = table.shape[1]
-    source = (a, b) if a <= b else (b, a)
-    depth = {source: 0}
-    seen = frontier = np.array([source[0] * size + source[1]])
-    d = 0
+    seen = frontier = np.array([min(a, b) * size + max(a, b)])
+    layers = [frontier]
     while len(frontier):
         xs, ys = np.divmod(frontier, size)
         xs, ys = xs[xs != ys], ys[xs != ys]
@@ -104,28 +105,28 @@ def pair_depth_graph(system: TranslationSystem, a: int, b: int, *,
         new = _distinct(np.concatenate(found))
         new = new[~np.isin(new, seen, assume_unique=True)]
         # name the first count past the cap, as a pair-at-a-time check would
-        budget.check_pairs(min(len(depth) + len(new), budget.max_pairs + 1))
-        d += 1
-        px, py = np.divmod(new, size)
-        depth.update(dict.fromkeys(zip(px.tolist(), py.tolist()), d))
+        budget.check_pairs(min(len(seen) + len(new), budget.max_pairs + 1))
+        layers.append(new)
         seen, frontier = _distinct(np.concatenate([seen, new])), new
-    return PairDepthGraph(size, depth)
+    pairs = np.stack(np.divmod(np.concatenate(layers), size), 1).astype(np.intp)
+    depth = np.repeat(np.arange(len(layers)), [len(layer) for layer in layers])
+    return PairDepthGraph(size, pairs, depth)
 
 
 def maltsev_depth(graph: PairDepthGraph, pair: tuple[int, int]) -> int | None:
     """Minimax chain depth of `pair` inside the walk's Cg: the least layer
-    m whose reached pairs of depth <= m (a prefix, as insertion order is
-    layer order) generate an equivalence relating the ends.  0 when the
-    ends are equal; None when no layer relates them."""
+    m whose reached pairs of depth <= m generate an equivalence relating
+    the ends.  One forest is hooked a layer at a time, so each pair is
+    hooked once.  0 when the ends are equal; None when no layer relates
+    them."""
     c, d = pair
     if c == d:
         return 0
-    pairs = np.array(list(graph.depth), dtype=np.intp).reshape(-1, 2)
-    layers = np.fromiter(graph.depth.values(), dtype=np.intp, count=len(pairs))
-    for m in range(int(layers[-1]) + 1):
-        upto = pairs[:np.searchsorted(layers, m, side="right")]
-        least = _generated(np.arange(graph.size), upto[:, 0], upto[:, 1])
-        if least[c] == least[d]:
+    forest = np.arange(graph.size)
+    ends = np.searchsorted(graph.depth, np.arange(graph.depth[-1] + 1), side="right")
+    for m, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+        forest = _generated(forest, *graph.pairs[lo:hi].T)
+        if forest[c] == forest[d]:
             return m
     return None
 
@@ -235,5 +236,5 @@ def principal_congruences(system: TranslationSystem,
                          np.array([ys[v] for v in own], dtype=np.intp))
         for v in members:
             cg[v] = acc
-    congs = [Congruence._of(least) for least in forms]
+    congs = [Congruence(least) for least in forms]
     return [congs[i] for i in cg]

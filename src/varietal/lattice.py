@@ -13,7 +13,7 @@ min-label hooking pass: the block's frontier rows lie end to end, row k
 offset by k * size, and each hooks its principal's least form.  New rows
 are deduped by their bytes.  Then the meet of every two congruences must
 be in the set: one row-wise meet per block of pairs.  The order is read
-off the label matrix, and the join and meet tables off the order.
+off the least-form matrix, and the join and meet tables off the order.
 
 Meet-semidistributivity: a ^ b = a ^ c implies a ^ b = a ^ (b v c) for
 all triples.  The check runs over the triple cube a slab of (a, b) pairs
@@ -36,7 +36,7 @@ from .depth import TranslationSystem, principal_congruences
 def congruence_lattice(system: TranslationSystem, *,
                        budget: Budget = DEFAULT_BUDGET) -> list[Congruence]:
     """All congruences of the algebra whose translation system is given,
-    canonically sorted.
+    sorted by least form.
 
     Takes the principal congruences of every pair from one pass over the
     pair graph, then closes them under joins a frontier at a time (see
@@ -49,9 +49,9 @@ def congruence_lattice(system: TranslationSystem, *,
     # each distinct principal congruence, with the first pair generating it
     seen = {}
     for i, cg in enumerate(cgs):
-        seen.setdefault(cg._least.tobytes(), i)
+        seen.setdefault(cg.least.tobytes(), i)
     first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    forms = np.array([cgs[i]._least for i in first], dtype=np.intp).reshape(-1, size)
+    forms = np.array([cgs[i].least for i in first], dtype=np.intp).reshape(-1, size)
     found = {row.tobytes(): row for row in [np.arange(size), *forms]}
     xs, ys = xs[first], ys[first]
     # round one: each two principals, neither relating the other's pair
@@ -68,14 +68,13 @@ def congruence_lattice(system: TranslationSystem, *,
         pairs = np.nonzero(frontier[:, xs] != frontier[:, ys])
 
     table = np.array(list(found.values()))
-    # least forms sort in the order of the canonical labels
     table = table[np.lexsort(table.T[::-1])]
     left, right = np.triu_indices(len(table), 1)
     for part in budget.blocks(len(left), size):
         meets = _meets(table[left[part]], table[right[part]])
         if not {row.tobytes() for row in meets} <= found.keys():
             raise ValueError("meet escaped the generated lattice")
-    return [Congruence._of(row) for row in table]
+    return [Congruence(row) for row in table]
 
 
 def _joins(frontier: np.ndarray, forms: np.ndarray, theta: np.ndarray,
@@ -139,11 +138,12 @@ def _least_bounds(leq: np.ndarray, what: str, budget: Budget) -> np.ndarray:
 
 def lattice_of_congruences(congs: list[Congruence], *,
                            budget: Budget = DEFAULT_BUDGET) -> Lattice:
-    """Order a closed set of congruences by refinement, off the label
-    matrix: theta <= psi when psi gives each element the label of the
-    least member of its theta-block."""
-    labels = np.array([c.labels for c in congs])
-    leq = [(labels[:, c._least] == labels).all(1) for c in congs]
+    """Order a closed set of congruences by refinement, off the least-form
+    matrix: theta <= psi when psi relates each element to the least member
+    of its theta-block, so that psi's least form gathered at theta's is
+    unchanged."""
+    forms = np.array([c.least for c in congs])
+    leq = [(forms[:, c.least] == forms).all(1) for c in congs]
     return Lattice.from_order(leq, budget=budget)
 
 

@@ -332,22 +332,18 @@ def verify_f_characterization(ctx: BnContext) -> LemmaReport:
     """Among the pairs of the walk from (a, 0) within n+2 layers, the only
     element paired with b_n besides itself is c_n."""
     cap = ctx.n + 2
-    reached = [p for p, d in ctx.walk().depth.items() if d <= cap]
+    walk = ctx.walk()
+    xs, ys = walk.pairs[walk.depth <= cap].T
     b_id = ctx.id_of(ctx.b[ctx.n])
     c_id = ctx.id_of(ctx.c[ctx.n])
-    partners = set()
-    for x, y in reached:
-        if x == b_id and y != b_id:
-            partners.add(y)
-        elif y == b_id and x != b_id:
-            partners.add(x)
+    partners = (set(ys[xs == b_id].tolist()) | set(xs[ys == b_id].tolist())) - {b_id}
     bad = [{"partner": ctx.render_id(p)} for p in sorted(partners - {c_id})]
     if c_id not in partners:
         bad.append({"missing_partner": ctx.render(ctx.c[ctx.n])})
-    witnesses = [{"cap": cap, "pairs_reached": len(reached),
+    witnesses = [{"cap": cap, "pairs_reached": len(xs),
                   "partners_of_b_n": [ctx.render_id(p) for p in sorted(partners)]}]
     return LemmaReport("f-char", ctx.n, passed=not bad, witnesses=witnesses,
-                       counterexamples=bad, stats={"pairs": len(reached)})
+                       counterexamples=bad, stats={"pairs": len(xs)})
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +548,11 @@ def run_lemma(lemma: str, ma: MachineAlgebra, n: int, *,
               budget: Budget | None = None,
               ctx: BnContext | None = None) -> LemmaReport:
     """Run one named verifier at width n, on `ctx` or on a context built
-    here; k-collapse builds its own on the K-extended algebra of the same
-    machine, compiled once per `ma`.  A given `ctx` is the one scope of
-    the run, k-collapse's build included: an `n`, `ma` or `budget` not its
-    own raises ValueError.  The only place a lemma is timed, is skipped
+    here.  k-collapse runs on a `ctx` whose algebra has K, and otherwise
+    builds its own on the K-extended algebra of the same machine, compiled
+    once per `ma`.  A given `ctx` is the one scope of the run, k-collapse's
+    build included: an `n`, `ma` or `budget` not its own raises
+    ValueError.  The only place a lemma is timed, is skipped
     when its budget runs out, and gets its stats."""
     if lemma not in VERIFIERS:
         raise ValueError(f"unknown lemma {lemma!r}")
@@ -566,7 +563,7 @@ def run_lemma(lemma: str, ma: MachineAlgebra, n: int, *,
         budget = ctx.budget
     elif budget is None:
         budget = DEFAULT_BUDGET
-    if lemma == "k-collapse":
+    if lemma == "k-collapse" and (ctx is None or not ctx.algebra.with_k):
         ma, ctx = (ma if ma.with_k else ma.k_extended), None
     t0 = time.monotonic()
     try:

@@ -68,28 +68,10 @@ def naive_closure(base, width: int, generators, grid_limit: int = 3_000_000):
         known = sorted(known_set)
 
 
-def canonical_labels(parent: list[int]) -> tuple[int, ...]:
-    """First-appearance block numbering of a union-find forest."""
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    order: dict[int, int] = {}
-    labels = []
-    for i in range(len(parent)):
-        root = find(i)
-        if root not in order:
-            order[root] = len(order)
-        labels.append(order[root])
-    return tuple(labels)
-
-
 def bucket_congruence(size: int, op_values: list[np.ndarray],
                       seed_pairs) -> tuple[int, ...]:
-    """Least congruence containing the seed pairs, by bucket refinement.
+    """Least congruence containing the seed pairs, by bucket refinement,
+    in least form: each element's entry is the least member of its block.
 
     op_values[i] is the dense value array of one operation over element
     indices (shape (size,)*arity).  Argument tuples whose components are
@@ -142,17 +124,19 @@ def bucket_congruence(size: int, op_values: list[np.ndarray],
             for i in apart:
                 if union(int(rep[i]), int(sorted_vals[i])):
                     changed = True
-    return canonical_labels(parent)
+    # a union keeps the smaller root, so each root is its block's least member
+    return tuple(find(i) for i in range(size))
 
 
 def naive_congruences(size: int, op_values: list[np.ndarray]
                       ) -> list[tuple[int, ...]]:
     """Every congruence of the algebra with these dense operation tables
-    (shape (size,)*arity each), sorted: each set partition of the universe,
-    enumerated as a restricted growth string, is kept when every operation
-    sends each element of a block, in each argument place, to the block
-    that the block's least member goes to.  Only up to 7 elements (877
-    partitions)."""
+    (shape (size,)*arity each), in least form (each element's entry the
+    least member of its block), sorted: each set partition of the
+    universe, enumerated as a restricted growth string, is kept when every
+    operation sends each element of a block, in each argument place, to
+    the block that the block's least member goes to.  Only up to 7
+    elements (877 partitions)."""
     if size > 7:
         raise ValueError(f"{size} elements: too many partitions to list")
     partitions = [()]
@@ -166,7 +150,7 @@ def naive_congruences(size: int, op_values: list[np.ndarray]
         if all((np.moveaxis(lab[vals], axis, 0)[least] ==
                 np.moveaxis(lab[vals], axis, 0)).all()
                for vals in op_values for axis in range(vals.ndim)):
-            out.append(labels)
+            out.append(tuple(least.tolist()))
     return sorted(out)
 
 

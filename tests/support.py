@@ -38,7 +38,7 @@ def equiv_meet(theta: Congruence, psi: Congruence) -> Congruence:
     of their least forms."""
     if theta.size != psi.size:
         raise ValueError(f"congruences on {theta.size} and {psi.size} elements")
-    return Congruence._of(_meets(theta._least[None], psi._least[None])[0])
+    return Congruence(_meets(theta.least[None], psi.least[None])[0])
 
 
 def lattice_join(lat: Lattice, x: int, y: int) -> int:
@@ -54,19 +54,19 @@ def spanning_pairs(cong: Congruence) -> list[tuple[int, int]]:
     congruence."""
     prev: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-    for i, lab in enumerate(cong.labels):
-        if lab in prev:
-            pairs.append((prev[lab], i))
-        prev[lab] = i
+    for i, root in enumerate(cong.least.tolist()):
+        if root in prev:
+            pairs.append((prev[root], i))
+        prev[root] = i
     return pairs
 
 
 def identity(size: int) -> Congruence:
-    return Congruence(tuple(range(size)))
+    return Congruence(np.arange(size))
 
 
 def full(size: int) -> Congruence:
-    return Congruence((0,) * size)
+    return Congruence(np.zeros(size, dtype=np.intp))
 
 
 def equiv_join(theta: Congruence, psi: Congruence) -> Congruence:
@@ -74,8 +74,8 @@ def equiv_join(theta: Congruence, psi: Congruence) -> Congruence:
     union).  For two congruences this is also the congruence join."""
     if theta.size != psi.size:
         raise ValueError(f"congruences on {theta.size} and {psi.size} elements")
-    return Congruence._of(_generated(theta._least.copy(),
-                                     np.arange(theta.size), psi._least))
+    return Congruence(_generated(theta.least.copy(), np.arange(theta.size),
+                                 psi.least))
 
 
 def is_identity(cong: Congruence) -> bool:

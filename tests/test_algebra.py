@@ -96,11 +96,19 @@ def test_generate_subuniverse_respects_budget():
         close_subpower(alg, 1, [(1,)], Budget(max_elements=10))
 
 
-def test_congruence_canonical_form():
-    for labels in ((0, 2, 1), (1, 0), (0, -1)):
+def test_congruence_least_form():
+    # a root above its member, a member that points at a non-root, a
+    # negative entry and a 2-D array
+    for bad in ((1, 1), (0, 0, 1), (0, -1), ((0, 1), (0, 1))):
         with pytest.raises(ValueError):
-            Congruence(labels)
-    cong = Congruence((0, 0, 1, 0, 2))
+            Congruence(bad)
+    # every partition of 1..5 elements (Bell numbers)
+    for size, bell in zip(range(1, 6), (1, 2, 5, 15, 52)):
+        forms = oracles.naive_congruences(size, [])
+        assert len(forms) == bell
+        for least in forms:
+            assert tuple(Congruence(least).least.tolist()) == least
+    cong = Congruence((0, 0, 2, 0, 4))
     assert cong.num_blocks == 3
     assert cong.blocks() == [[0, 1, 3], [2], [4]]
     assert cong.relates(0, 3) and not cong.relates(2, 4)
@@ -109,12 +117,12 @@ def test_congruence_canonical_form():
 
 
 def test_congruence_meet_join_refines():
-    theta = Congruence((0, 0, 1, 1))
-    psi = Congruence((0, 1, 1, 2))
+    theta = Congruence((0, 0, 2, 2))
+    psi = Congruence((0, 1, 1, 3))
     both = equiv_meet(theta, psi)
-    assert both.labels == (0, 1, 2, 3)
+    assert tuple(both.least.tolist()) == (0, 1, 2, 3)
     join = equiv_join(theta, psi)
-    assert join.labels == (0, 0, 0, 0)
+    assert tuple(join.least.tolist()) == (0, 0, 0, 0)
     assert both.refines(theta) and both.refines(psi)
     assert theta.refines(join) and not theta.refines(psi)
 
@@ -127,7 +135,7 @@ def test_congruence_binary_ops_reject_mismatched_sizes():
 
 
 def test_congruence_spanning_pairs_regenerate():
-    cong = Congruence((0, 1, 0, 1, 0, 2))
+    cong = Congruence((0, 1, 0, 1, 0, 5))
     pairs = spanning_pairs(cong)
     assert Congruence.from_pairs(cong.size, pairs) == cong
     assert spanning_pairs(identity(4)) == []
@@ -153,11 +161,10 @@ def test_congruence_operations_match_brute_force(case):
     assert Congruence.from_pairs(size, pairs) == theta
     assert equiv_join(theta, psi) == Congruence.from_pairs(
         size, spanning_pairs(theta) + spanning_pairs(psi))
-    numbering = {}
-    for key in zip(theta.labels, psi.labels):
-        numbering.setdefault(key, len(numbering))
-    assert equiv_meet(theta, psi).labels == tuple(
-        numbering[key] for key in zip(theta.labels, psi.labels))
+    # an element's meet block starts where its pair of least members first appears
+    keys = list(zip(theta.least.tolist(), psi.least.tolist()))
+    assert tuple(equiv_meet(theta, psi).least.tolist()) == tuple(
+        keys.index(key) for key in keys)
     assert theta.refines(psi) == all(
         psi.relates(x, y) for x in range(size) for y in range(size)
         if theta.relates(x, y))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from varietal import build_bn
+from varietal import build_bn, depth as depth_module
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
 from varietal.depth import (
     PairDepthGraph,
@@ -22,6 +22,11 @@ from varietal.witness import verify_f_characterization
 def cg(system, a, b, **kwargs):
     """Cg(a, b): the equivalence the pair walk from (a, b) generates."""
     return pair_depth_graph(system, a, b, **kwargs).congruence()
+
+
+def listed(graph):
+    """The walk's pairs, each with its depth, in the walk's order."""
+    return list(zip(map(tuple, graph.pairs.tolist()), graph.depth.tolist()))
 
 
 def layered_bfs(maps, a, b, cap):
@@ -78,9 +83,13 @@ def test_pair_bfs_matches_layered_rederivation(ctx2, ctx3, ctx4):
         graph = pair_depth_graph(system, ctx.a_id, ctx.zero_id)
         expected = layered_bfs(system.table.tolist(), ctx.a_id, ctx.zero_id,
                                None)
-        assert graph.depth == expected, ctx.n
-        assert graph.depth[(min(ctx.a_id, ctx.zero_id),
-                            max(ctx.a_id, ctx.zero_id))] == 0
+        walk = listed(graph)
+        assert dict(walk) == expected and len(walk) == len(expected), ctx.n
+        # layer order, from the source pair, each pair with x <= y
+        assert walk[0] == ((min(ctx.a_id, ctx.zero_id),
+                            max(ctx.a_id, ctx.zero_id)), 0)
+        assert graph.depth.tolist() == sorted(graph.depth.tolist())
+        assert (graph.pairs[:, 0] <= graph.pairs[:, 1]).all()
 
 
 class GatherLog(np.ndarray):
@@ -94,17 +103,17 @@ class GatherLog(np.ndarray):
 
 def test_pair_bfs_chunks_follow_the_cell_budget_not_max_pairs(ctx3):
     # a chunk of table columns holds at most max_signatures cells; a huge
-    # max_pairs only lets the depth dict grow, it sizes no array
+    # max_pairs only lets the walk grow, it sizes no array
     system = ctx3.system()
     maps = len(system.table)
-    full = pair_depth_graph(system, ctx3.a_id, ctx3.zero_id).depth
+    full = listed(pair_depth_graph(system, ctx3.a_id, ctx3.zero_id))
     for cells in (maps, 3 * maps):
         table = system.table.view(GatherLog)
         table.log = []
         logged = TranslationSystem(table, system.steps)
         budget = Budget(max_pairs=10 ** 12, max_signatures=cells)
-        assert pair_depth_graph(logged, ctx3.a_id, ctx3.zero_id,
-                                budget=budget).depth == full
+        assert listed(pair_depth_graph(logged, ctx3.a_id, ctx3.zero_id,
+                                       budget=budget)) == full
         assert max(table.log) == cells // maps
 
 
@@ -145,7 +154,7 @@ def test_pair_walk_checks_the_deadline_once_per_block(ctx3):
                                 budget=Ticking(max_signatures=len(system.table)))
 
     # every reached pair off the diagonal is expanded once
-    layers = Counter(d for (x, y), d in walk().depth.items() if x != y)
+    layers = Counter(d for (x, y), d in listed(walk()) if x != y)
     assert len(ticks) == sum(layers.values())
     layer, width = layers.most_common(1)[0]
     assert width >= 2
@@ -169,10 +178,11 @@ def test_reached_pairs_lie_in_the_principal_congruence(ctx2):
     system = ctx2.system()
     graph = pair_depth_graph(system, ctx2.a_id, ctx2.zero_id)
     theta = cg(system, ctx2.a_id, ctx2.zero_id)
-    for x, y in graph.depth:
+    pairs = graph.pairs.tolist()
+    for x, y in pairs:
         assert theta.relates(x, y)
     nontrivial = {e for bl in theta.blocks() if len(bl) > 1 for e in bl}
-    touched = {e for pair in graph.depth for e in pair if pair[0] != pair[1]}
+    touched = {e for pair in pairs for e in pair if pair[0] != pair[1]}
     assert touched == nontrivial
 
 
@@ -185,8 +195,8 @@ def test_principal_congruence_matches_bucket_oracle(ctx2, ctx3, b3_op_values):
               for x in range(ctx3.subpower.size)]
     for ctx, tables, x, y in cases:
         theta = cg(ctx.system(), x, y)
-        labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
-        assert theta.labels == labels, (ctx.n, x, y)
+        least = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
+        assert tuple(theta.least.tolist()) == least, (ctx.n, x, y)
 
 
 def test_principal_congruences_match_bucket_oracle(ctx2, ctx3, b3_op_values):
@@ -195,8 +205,8 @@ def test_principal_congruences_match_bucket_oracle(ctx2, ctx3, b3_op_values):
         pairs = list(combinations(range(ctx.subpower.size), 2))
         got = principal_congruences(ctx.system(), pairs)
         for (x, y), theta in zip(pairs, got):
-            labels = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
-            assert theta.labels == labels, (ctx.n, x, y)
+            least = oracles.bucket_congruence(ctx.subpower.size, tables, [(x, y)])
+            assert tuple(theta.least.tolist()) == least, (ctx.n, x, y)
 
 
 def test_principal_congruences_match_one_closure_per_pair(ctx4):
@@ -269,15 +279,37 @@ def test_maltsev_depth_matches_minimax_oracle(request, kind, n, source, cut):
     sp = ctx.subpower
     gen = (ctx.a_id, ctx.zero_id if source == "a,0" else ctx.id_of(ctx.d[2]))
     graph = pair_depth_graph(ctx.system(), *gen)
-    layers = list(graph.depth.values())
+    layers = graph.depth.tolist()
     assert layers == sorted(layers)
     if cut is not None:
-        graph = PairDepthGraph(sp.size, {p: d for p, d in graph.depth.items()
-                                         if d <= cut})
-    w = minimax_closure(graph.depth, sp.size)
+        kept = graph.depth <= cut
+        graph = PairDepthGraph(sp.size, graph.pairs[kept], graph.depth[kept])
+    w = minimax_closure(dict(listed(graph)), sp.size)
     for i, j in product(range(sp.size), repeat=2):
         expected = w[i][j] if w[i][j] < 10 ** 9 else None
         assert maltsev_depth(graph, (i, j)) == expected, (i, j)
+
+
+def test_maltsev_depth_hooks_each_pair_once(ctx4, monkeypatch):
+    """One forest grows a layer at a time, so the rows hooked over a whole
+    search, even one that ends unrelated, are at most the walk's pairs."""
+    graph = ctx4.walk()
+    theta = graph.congruence()
+    apart = next((x, y) for x, y in combinations(range(ctx4.subpower.size), 2)
+                 if not theta.relates(x, y))
+    rows = []
+    real = depth_module._generated
+
+    def counting(forest, xs, ys):
+        rows.append(len(xs))
+        return real(forest, xs, ys)
+
+    monkeypatch.setattr(depth_module, "_generated", counting)
+    for pair, expected in (((ctx4.id_of(ctx4.b[4]), ctx4.id_of(ctx4.c[4])), 3),
+                           (apart, None)):
+        rows.clear()
+        assert maltsev_depth(graph, pair) == expected
+        assert 0 < sum(rows) <= len(graph.depth), pair
 
 
 def test_generic_and_subpower_translations_agree(ctx2):
@@ -343,9 +375,9 @@ def test_narrow_tables_walk_like_intp_tables(size):
     assert narrow.dtype == (np.uint8 if size <= 256 else np.uint16)
     assert narrow.max() == size - 1
     for a, b in [(0, size - 1), (size - 2, size - 1), (249, size - 3)]:
-        assert pair_depth_graph(TranslationSystem(narrow, []), a, b).depth == \
-            pair_depth_graph(TranslationSystem(wide, []), a, b).depth
+        assert listed(pair_depth_graph(TranslationSystem(narrow, []), a, b)) == \
+            listed(pair_depth_graph(TranslationSystem(wide, []), a, b))
     pairs = [(u, v) for u, v in combinations(range(size), 2) if u // 4 == v // 4]
     got, want = (principal_congruences(TranslationSystem(t[:3], []), pairs)
                  for t in (narrow, wide))
-    assert [c.labels for c in got] == [c.labels for c in want]
+    assert got == want

@@ -22,6 +22,7 @@ COMMANDS = {
         "verify --tm fixtures/halting.tm --n 2..3 --seed 1",
     "depth_halting_n2-6": "depth --tm fixtures/halting.tm --n 2..6",
     "sd-meet_halting_n2-4": "sd-meet --tm fixtures/halting.tm --n 2..4",
+    "sd-meet_halting_n5-6": "sd-meet --tm fixtures/halting.tm --n 5..6",
     "bn-build-k_halting_n2-5":
         "bn build --tm fixtures/halting.tm --with-k --n 2..5",
     "verify_looping_n2-3": "verify --tm fixtures/looping.tm --n 2..3",

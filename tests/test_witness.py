@@ -353,6 +353,20 @@ def test_k_collapse_builds_its_k_context_under_the_budget_of_the_ctx(
     assert report.status == "SKIPPED" and "max_seconds" in report.note
 
 
+def test_k_collapse_runs_on_a_k_context_it_is_given(ma2_k, kctx3, monkeypatch):
+    builds = []
+    real = witness.build_bn
+
+    def recording(ma, n, budget):
+        builds.append((ma.with_k, n))
+        return real(ma, n, budget)
+
+    monkeypatch.setattr(witness, "build_bn", recording)
+    report = run_lemma("k-collapse", ma2_k, 3, ctx=kctx3)
+    assert report.status == "PASSED" and report.stats["universe"] == kctx3.subpower.size
+    assert builds == []
+
+
 def test_s2_acts_at_later_coordinates_only(ctx2):
     sp = ctx2.subpower
     b2, d2 = ctx2.id_of(ctx2.b[2]), ctx2.id_of(ctx2.d[2])
