@@ -3,23 +3,35 @@ algebra, build witness subpowers, and machine-check congruence-growth
 properties (atomic principal congruences, translation depth, lattice
 meet-semidistributivity)."""
 
-from .algebra import Budget, BudgetExceeded, Congruence, DEFAULT_BUDGET, \
-    FiniteAlgebra, Operation, TranslationStep, table_op
-from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
-    pair_depth_graph, principal_congruences, translation_system
-from .lattice import Lattice, congruence_lattice, is_meet_semidistributive, \
-    lattice_of_congruences, m3_lattice
-from .machine_algebra import Element, MachineAlgebra, compile_machine, \
-    vector_evaluator
-from .subpower import Subpower, close_subpower, op_image, translation_maps
-from .tm import Instruction, RunOutcome, TMError, TuringMachine, load_tm, \
-    machine, parse_tm, run_bounded
-from .witness import BnContext, LEMMA_ORDER, LemmaReport, build_bn, \
-    explicit_chain_polynomial, kprime_collapse, run_lemma, verify_atomicity, \
-    verify_bn_structure, verify_chain, verify_depth, \
-    verify_f_characterization, verify_nonzero_ops, verify_omission_all, \
-    verify_subalgebra_omission, verify_support_growth, witness_tuples
+import importlib
 
 __version__ = "0.1.0"
+_EXPORTS = {"algebra": "Budget BudgetExceeded Congruence DEFAULT_BUDGET FiniteAlgebra "
+                       "Operation TranslationStep table_op",
+            "depth": "PairDepthGraph TranslationSystem maltsev_depth pair_depth_graph "
+                     "principal_congruences translation_system",
+            "lattice": "Lattice congruence_lattice is_meet_semidistributive "
+                       "lattice_of_congruences m3_lattice",
+            "machine_algebra": "Element MachineAlgebra compile_machine vector_evaluator",
+            "subpower": "Subpower close_subpower op_image translation_maps",
+            "tm": "Instruction RunOutcome TMError TuringMachine load_tm machine parse_tm "
+                  "run_bounded",
+            "witness": "BnContext LEMMA_ORDER LemmaReport build_bn "
+                       "explicit_chain_polynomial kprime_collapse run_lemma "
+                       "verify_atomicity verify_bn_structure verify_chain verify_depth "
+                       "verify_f_characterization verify_nonzero_ops verify_omission_all "
+                       "verify_subalgebra_omission verify_support_growth witness_tuples"}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in (mod, *names.split())}
+__all__ = sorted(_HOME)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):  # PEP 562: a name loads its module on first use
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _HOME[name], __name__)
+    globals()[name] = module if name in _EXPORTS else getattr(module, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -83,6 +83,7 @@ _WORDS_PER_CHECK = 1 << 16
 
 @dataclass(frozen=True)
 class OpAutomaton:
+    """One operation on an alphabet as a layered automaton of suffix classes."""
     arity: int
     alphabet: tuple[int, ...]
     levels: tuple[np.ndarray, ...]   # levels[j]: (states_j, |alphabet|) -> states_{j+1}

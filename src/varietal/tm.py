@@ -96,6 +96,7 @@ class TuringMachine:
 
 @dataclass(frozen=True)
 class RunOutcome:
+    """run_bounded's verdict, with the moves made when it halted or stalled."""
     halted: bool
     steps: int | None = None
     stalled: bool = False

@@ -46,6 +46,7 @@ NONZERO_OPS = ("meet", "J", "J'", "S2")
 
 @dataclass
 class LemmaReport:
+    """One lemma's verdict at width n, with its witnesses, counterexamples and stats."""
     lemma: str
     n: int
     passed: bool
