@@ -1,12 +1,11 @@
 """Generic finite algebras.
 
 A FiniteAlgebra is an indexed universe 0..size-1 with a tuple of named
-finitary operations.  Operations evaluate on element indices; small ones
-may be backed by dense row-major tables.  A congruence is a partition in
-least form: each element labelled by its block's least member.  Every
-equivalence generated by pairs comes from one min-label hooking helper,
-and every meet from one row-wise sort, a stack of least-form rows at
-once; refinement is one gather.
+finitary operations, which evaluate on element indices.  A congruence is
+a partition in least form: each element labelled by its block's least
+member.  Every equivalence generated by pairs comes from one min-label
+hooking helper, and every meet from one row-wise sort, a stack of
+least-form rows at once; refinement is one gather.
 Everything here is deterministic.  The subuniverse generated by a set of
 elements is `subpower.close_subpower` at width 1.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -81,34 +80,6 @@ class Operation:
 
     def __call__(self, *args: int) -> int:
         return self.func(*args)
-
-
-def table_op(symbol: str, arity: int, size: int,
-             values: Sequence[int]) -> Operation:
-    """Operation backed by a dense row-major table."""
-    if len(values) != size ** arity:
-        raise ValueError(
-            f"{symbol} needs {size ** arity} table values, got {len(values)}")
-    table = list(values)
-    if arity == 0:
-        const = table[0]
-        return Operation(symbol, 0, lambda: const)
-    if arity == 1:
-        return Operation(symbol, 1, lambda x: table[x])
-    if arity == 2:
-        return Operation(symbol, 2, lambda x, y: table[x * size + y])
-    if arity == 3:
-        return Operation(
-            symbol, 3, lambda x, y, z: table[(x * size + y) * size + z]
-        )
-
-    def func(*args):
-        idx = 0
-        for a in args:
-            idx = idx * size + a
-        return table[idx]
-
-    return Operation(symbol, arity, func)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +211,3 @@ class Congruence:
             raise ValueError(f"congruences on {self.size} and {other.size} elements")
         return bool((other.least[self.least] == other.least).all())
 
-    @staticmethod
-    def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
-        """Equivalence (not necessarily compatible) generated by pairs."""
-        pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-        return Congruence(_generated(np.arange(size), pairs[:, 0], pairs[:, 1]))

@@ -303,21 +303,13 @@ class MachineAlgebra:
             Operation("I", 1, seed),
         ]
 
-        move_ops: list[Operation] = []
-        for ins in self.machine.sorted_instructions():
-            if ins.direction != "L":
-                continue
-            for t in (0, 1):
-                sym = f"L[{ins.state},{ins.read},{t}]"
-                fn = make_move("L", ins.state, ins.read, ins.write, ins.next_state, t)
-                move_ops.append(Operation(sym, 3, fn))
-        for ins in self.machine.sorted_instructions():
-            if ins.direction != "R":
-                continue
-            for t in (0, 1):
-                sym = f"R[{ins.state},{ins.read},{t}]"
-                fn = make_move("R", ins.state, ins.read, ins.write, ins.next_state, t)
-                move_ops.append(Operation(sym, 3, fn))
+        move_ops = [Operation(f"{kind}[{ins.state},{ins.read},{t}]", 3,
+                              make_move(kind, ins.state, ins.read, ins.write,
+                                        ins.next_state, t))
+                    for kind in ("L", "R")
+                    for ins in self.machine.sorted_instructions()
+                    if ins.direction == kind
+                    for t in (0, 1)]
         ops.extend(move_ops)
         for mv in move_ops:
             ops.append(Operation(f"U1_{mv.symbol}", 4, make_u1(mv.func)))

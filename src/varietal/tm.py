@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .algebra import Budget, DEFAULT_BUDGET
 
@@ -219,12 +218,3 @@ def load_tm(path) -> TuringMachine:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_tm(fh.read())
 
-
-def machine(states: Iterable[str], quintuples: Iterable[tuple]) -> TuringMachine:
-    """Build from state names and (state, read, write, dir, next) name tuples."""
-    names = tuple(states)
-    idx = {name: i for i, name in enumerate(names)}
-    ins = tuple(
-        Instruction(idx[s], r, w, d, idx[n]) for (s, r, w, d, n) in quintuples
-    )
-    return TuringMachine(states=names, instructions=ins)

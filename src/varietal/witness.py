@@ -279,43 +279,22 @@ def verify_atomicity(ctx: BnContext) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # chain
 
-def explicit_chain_polynomial(ctx: BnContext):
-    """The n-1 step translation chain J'(b_l, d_l, -): returns the step
-    list plus the values it takes on a and on the zero tuple."""
-    sp = ctx.subpower
-    steps = [TranslationStep("J'", 2, (ctx.id_of(ctx.b[l]), ctx.id_of(ctx.d[l])))
-             for l in range(2, ctx.n + 1)]
-    x, y = ctx.a_id, ctx.zero_id
-    for step in steps:
-        bl, dl = step.constants
-        x = sp.eval("J'", (bl, dl, x))
-        y = sp.eval("J'", (bl, dl, y))
-    return steps, x, y
-
-
 def verify_chain(ctx: BnContext) -> LemmaReport:
-    """The chain sends a to b_n and 0 to c_n, each intermediate step maps
-    (b_{l-1}, c_{l-1}) to (b_l, c_l), and the generic congruence engine
-    agrees that (b_n, c_n) lies in Cg(a, 0)."""
+    """The chain J'(b_l, d_l, -), l = 2..n, run from (a, 0), takes its pair
+    to (b_l, c_l) at each step l, so (a, 0) to (b_n, c_n); and the generic
+    congruence engine agrees that (b_n, c_n) lies in Cg(a, 0)."""
     sp = ctx.subpower
     bad = []
+    steps = []
+    x, y = ctx.a_id, ctx.zero_id
     for l in range(2, ctx.n + 1):
-        bl, dl = ctx.id_of(ctx.b[l]), ctx.id_of(ctx.d[l])
-        prev_b = ctx.id_of(ctx.b[l - 1])
-        prev_c = ctx.id_of(ctx.c[l - 1])
-        got_b = sp.eval("J'", (bl, dl, prev_b))
-        got_c = sp.eval("J'", (bl, dl, prev_c))
-        if got_b != ctx.id_of(ctx.b[l]):
-            bad.append({"step": l, "expected": ctx.render(ctx.b[l]),
-                        "got": ctx.render_id(got_b)})
-        if got_c != ctx.id_of(ctx.c[l]):
-            bad.append({"step": l, "expected": ctx.render(ctx.c[l]),
-                        "got": ctx.render_id(got_c)})
-    steps, fa, f0 = explicit_chain_polynomial(ctx)
-    if fa != ctx.id_of(ctx.b[ctx.n]):
-        bad.append({"chain_value_on_a": ctx.render_id(fa)})
-    if f0 != ctx.id_of(ctx.c[ctx.n]):
-        bad.append({"chain_value_on_0": ctx.render_id(f0)})
+        step = TranslationStep("J'", 2, (ctx.id_of(ctx.b[l]), ctx.id_of(ctx.d[l])))
+        steps.append(step)
+        x, y = (sp.eval("J'", (*step.constants, v)) for v in (x, y))
+        for got, expected in ((x, ctx.b[l]), (y, ctx.c[l])):
+            if got != ctx.id_of(expected):
+                bad.append({"step": l, "expected": ctx.render(expected),
+                            "got": ctx.render_id(got)})
     theta = ctx.walk().congruence()
     pairs = sum(len(bl) * (len(bl) - 1) // 2 for bl in theta.blocks())
     if not theta.relates(ctx.id_of(ctx.b[ctx.n]), ctx.id_of(ctx.c[ctx.n])):
@@ -350,57 +329,45 @@ def verify_f_characterization(ctx: BnContext) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # omission
 
-def verify_subalgebra_omission(ctx: BnContext, k: int) -> LemmaReport:
-    """Dropping the generator d_k yields a proper subalgebra C in which
-    the class of b_n under Cg^C(a,0) is trivial; in particular (b_n,c_n)
-    is not in Cg^C(a,0).  Also checks J(b_n, d_k, b_n) = b_k, the fact
-    that makes omitting b_k equivalent to omitting d_k."""
-    if not 2 <= k <= ctx.n:
-        raise ValueError(f"omitted index {k} out of range 2..{ctx.n}")
+def verify_omission_all(ctx: BnContext) -> LemmaReport:
+    """For each k in 2..n, dropping the generator d_k yields a proper
+    subalgebra C in which the class of b_n under Cg^C(a,0) is trivial; in
+    particular (b_n,c_n) is not in Cg^C(a,0).  Also checks
+    J(b_n, d_k, b_n) = b_k, the fact that makes omitting b_k equivalent to
+    omitting d_k.  Witnesses and counterexamples are tagged with their k."""
     sp = ctx.subpower
     n = ctx.n
     bad = []
     witnesses = []
-    got = sp.eval_tuple("J", (ctx.b[n], ctx.d[k], ctx.b[n]))
-    if got != ctx.b[k]:
-        bad.append({"J(b_n,d_k,b_n)": ctx.render(got),
-                    "expected": ctx.render(ctx.b[k])})
-    gens = [ctx.b[i] for i in range(1, n + 1)]
-    gens += [ctx.d[i] for i in range(2, n + 1) if i != k]
-    sub = close_subpower(sp.base, n, gens, ctx.budget)
-    if not set(sub.elements) < set(sp.elements):
-        bad.append({"closure": "not a proper subset"})
-    witnesses.append({"omitted": ctx.render(ctx.d[k]),
-                      "closure_size": sub.size,
-                      "full_size": sp.size})
-    theta = pair_depth_graph(translation_system(sub, budget=ctx.budget),
-                             sub.index[ctx.a], sub.index[ctx.zero_tuple],
-                             budget=ctx.budget).congruence()
-    b_id = sub.index.get(ctx.b[n])
-    if b_id is None:
-        raise RuntimeError("b_n is a generator, must be present")
-    block = [e for e in theta.blocks() if b_id in e][0]
-    if len(block) > 1:
-        bad.append({"b_n_class": [ctx.render(sub.elements[e])
-                                  for e in block]})
-    c_id = sub.index.get(ctx.c[n])
-    if c_id is not None and theta.relates(b_id, c_id):
-        bad.append({"related": "(b_n, c_n) in Cg^C(a,0)"})
-    witnesses.append({"c_n_in_C": c_id is not None})
-    return LemmaReport("omission", ctx.n, passed=not bad,
-                       witnesses=witnesses, counterexamples=bad)
-
-
-def verify_omission_all(ctx: BnContext) -> LemmaReport:
-    """All omitted indices k in 2..n, merged into one report."""
-    merged = LemmaReport("omission", ctx.n, passed=True)
-    for k in range(2, ctx.n + 1):
-        rep = verify_subalgebra_omission(ctx, k)
-        merged.passed = merged.passed and rep.passed
-        merged.witnesses.append({"k": k, "details": rep.witnesses})
-        merged.counterexamples.extend(
-            {"k": k, **c} for c in rep.counterexamples)
-    return merged
+    for k in range(2, n + 1):
+        got = sp.eval_tuple("J", (ctx.b[n], ctx.d[k], ctx.b[n]))
+        if got != ctx.b[k]:
+            bad.append({"k": k, "J(b_n,d_k,b_n)": ctx.render(got),
+                        "expected": ctx.render(ctx.b[k])})
+        gens = [ctx.b[i] for i in range(1, n + 1)]
+        gens += [ctx.d[i] for i in range(2, n + 1) if i != k]
+        sub = close_subpower(sp.base, n, gens, ctx.budget)
+        if not set(sub.elements) < set(sp.elements):
+            bad.append({"k": k, "closure": "not a proper subset"})
+        theta = pair_depth_graph(translation_system(sub, budget=ctx.budget),
+                                 sub.index[ctx.a], sub.index[ctx.zero_tuple],
+                                 budget=ctx.budget).congruence()
+        b_id = sub.index.get(ctx.b[n])
+        if b_id is None:
+            raise RuntimeError("b_n is a generator, must be present")
+        block = [e for e in theta.blocks() if b_id in e][0]
+        if len(block) > 1:
+            bad.append({"k": k, "b_n_class": [ctx.render(sub.elements[e])
+                                              for e in block]})
+        c_id = sub.index.get(ctx.c[n])
+        if c_id is not None and theta.relates(b_id, c_id):
+            bad.append({"k": k, "related": "(b_n, c_n) in Cg^C(a,0)"})
+        witnesses.append({"k": k, "details": [
+            {"omitted": ctx.render(ctx.d[k]), "closure_size": sub.size,
+             "full_size": sp.size},
+            {"c_n_in_C": c_id is not None}]})
+    return LemmaReport("omission", n, passed=not bad, witnesses=witnesses,
+                       counterexamples=bad)
 
 
 # ---------------------------------------------------------------------------

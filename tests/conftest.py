@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 import oracles
-from varietal import build_bn, compile_machine, load_tm, machine
+from support import machine
+from varietal import build_bn, compile_machine, load_tm
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

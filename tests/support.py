@@ -1,16 +1,61 @@
 """Helpers that only the tests need, written on the package (unlike
-oracles.py and altops.py, this module may import varietal): equiv_join
-and equiv_meet work on least forms with the package's own min-label and
-meet helpers, the rest use its public API."""
+oracles.py and altops.py, this module may import varietal): from_pairs,
+equiv_join and equiv_meet work on least forms with the package's own
+min-label and meet helpers, the rest use its public API."""
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from varietal.algebra import Congruence, FiniteAlgebra, _generated, _meets
+from varietal.algebra import Congruence, FiniteAlgebra, Operation, _generated, \
+    _meets
 from varietal.lattice import Lattice
 from varietal.machine_algebra import MachineAlgebra, vector_evaluator
-from varietal.tm import TuringMachine
+from varietal.tm import Instruction, TuringMachine
+
+
+def table_op(symbol: str, arity: int, size: int,
+             values: Sequence[int]) -> Operation:
+    """Operation backed by a dense row-major table."""
+    if len(values) != size ** arity:
+        raise ValueError(
+            f"{symbol} needs {size ** arity} table values, got {len(values)}")
+    table = list(values)
+    if arity == 0:
+        const = table[0]
+        return Operation(symbol, 0, lambda: const)
+    if arity == 1:
+        return Operation(symbol, 1, lambda x: table[x])
+    if arity == 2:
+        return Operation(symbol, 2, lambda x, y: table[x * size + y])
+    if arity == 3:
+        return Operation(
+            symbol, 3, lambda x, y, z: table[(x * size + y) * size + z]
+        )
+
+    def func(*args):
+        idx = 0
+        for a in args:
+            idx = idx * size + a
+        return table[idx]
+
+    return Operation(symbol, arity, func)
+
+
+def machine(states: Iterable[str], quintuples: Iterable[tuple]) -> TuringMachine:
+    """Build from state names and (state, read, write, dir, next) name tuples."""
+    names = tuple(states)
+    idx = {name: i for i, name in enumerate(names)}
+    ins = tuple(
+        Instruction(idx[s], r, w, d, idx[n]) for (s, r, w, d, n) in quintuples
+    )
+    return TuringMachine(states=names, instructions=ins)
+
+
+def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Equivalence (not necessarily compatible) generated by pairs."""
+    pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    return Congruence(_generated(np.arange(size), pairs[:, 0], pairs[:, 1]))
 
 
 def eval_op(alg: FiniteAlgebra, symbol: str, args: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 import altops
 import oracles
-from varietal.algebra import Budget, FiniteAlgebra, table_op
+from varietal.algebra import Budget, FiniteAlgebra
 from varietal.cli import main
 from varietal.depth import pair_depth_graph, principal_congruences, \
     translation_system
@@ -25,7 +25,6 @@ from varietal.lattice import (
 from varietal.machine_algebra import compile_machine, vector_evaluator
 from varietal.witness import (
     build_bn,
-    explicit_chain_polynomial,
     run_lemma,
     verify_atomicity,
     verify_bn_structure,
@@ -33,11 +32,11 @@ from varietal.witness import (
     verify_depth,
     verify_f_characterization,
     verify_nonzero_ops,
-    verify_subalgebra_omission,
+    verify_omission_all,
     verify_support_growth,
 )
 from conftest import FIXTURES
-from support import eval_op, monotonicity_report
+from support import eval_op, monotonicity_report, table_op
 
 HALTING = str(FIXTURES / "halting.tm")
 
@@ -228,12 +227,17 @@ def test_criterion_07_chain_membership(request, ma2, ctx5, ctx6):
     t0 = time.monotonic()
     for n in (2, 3, 4, 5, 6):
         ctx = {5: ctx5, 6: ctx6}.get(n) or request.getfixturevalue(f"ctx{n}")
-        steps, on_a, on_zero = explicit_chain_polynomial(ctx)
-        assert len(steps) == n - 1
-        assert on_a == ctx.id_of(ctx.b[n])
-        assert on_zero == ctx.id_of(ctx.c[n])
         report = verify_chain(ctx)
         assert report.status == "PASSED", (n, report.counterexamples)
+        # the reported chain, run from (a, 0) coordinatewise, ends at (b_n, c_n)
+        chain = report.witnesses[0]["chain"]
+        assert len(chain) == n - 1
+        x, y = ctx.a, ctx.zero_tuple
+        for step in chain:
+            bl, dl = ([ma2.idx(v) for v in const] for const in step["constants"])
+            x, y = (tuple(eval_op(ma2.algebra, "J'", args)
+                          for args in zip(bl, dl, v)) for v in (x, y))
+        assert (x, y) == (ctx.b[n], ctx.c[n])
     report_line(7, "chain membership", t0)
 
 
@@ -251,11 +255,11 @@ def test_criterion_08_f_characterization(ctx2, ctx3, ctx4):
 def test_criterion_09_omission(ctx3, ctx4):
     t0 = time.monotonic()
     for ctx in (ctx3, ctx4):
-        for k in range(2, ctx.n + 1):
-            report = verify_subalgebra_omission(ctx, k)
-            assert report.status == "PASSED", (ctx.n, k,
-                                               report.counterexamples)
-            detail = report.witnesses[0]
+        report = verify_omission_all(ctx)
+        assert report.status == "PASSED", (ctx.n, report.counterexamples)
+        assert [w["k"] for w in report.witnesses] == list(range(2, ctx.n + 1))
+        for w in report.witnesses:
+            detail = w["details"][0]
             assert detail["closure_size"] < detail["full_size"]
     report_line(9, "omission", t0)
 

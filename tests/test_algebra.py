@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from support import equiv_join, equiv_meet, eval_op, full, identity, \
-    is_full, is_identity, spanning_pairs
+from support import equiv_join, equiv_meet, eval_op, from_pairs, full, \
+    identity, is_full, is_identity, spanning_pairs, table_op
 from varietal.algebra import (
     Budget,
     BudgetExceeded,
     Congruence,
     FiniteAlgebra,
     Operation,
-    table_op,
 )
 from varietal.subpower import close_subpower
 
@@ -137,7 +136,7 @@ def test_congruence_binary_ops_reject_mismatched_sizes():
 def test_congruence_spanning_pairs_regenerate():
     cong = Congruence((0, 1, 0, 1, 0, 5))
     pairs = spanning_pairs(cong)
-    assert Congruence.from_pairs(cong.size, pairs) == cong
+    assert from_pairs(cong.size, pairs) == cong
     assert spanning_pairs(identity(4)) == []
 
 
@@ -158,8 +157,8 @@ def congruence_pairs(draw):
 @given(congruence_pairs())
 def test_congruence_operations_match_brute_force(case):
     size, pairs, theta, psi = case
-    assert Congruence.from_pairs(size, pairs) == theta
-    assert equiv_join(theta, psi) == Congruence.from_pairs(
+    assert from_pairs(size, pairs) == theta
+    assert equiv_join(theta, psi) == from_pairs(
         size, spanning_pairs(theta) + spanning_pairs(psi))
     # an element's meet block starts where its pair of least members first appears
     keys = list(zip(theta.least.tolist(), psi.least.tolist()))

@@ -15,10 +15,9 @@ from varietal import cli, witness
 from varietal.cli import _exit_code, _parse_range, main
 from varietal.depth import TranslationSystem
 from varietal.machine_algebra import MachineAlgebra
-from varietal.tm import machine
 from varietal.witness import LEMMA_ORDER, LemmaReport
 from conftest import FIXTURES
-from support import format_tm
+from support import format_tm, machine
 
 HALTING = str(FIXTURES / "halting.tm")
 LOOPING = str(FIXTURES / "looping.tm")

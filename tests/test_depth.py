@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from support import table_op
 from varietal import build_bn, depth as depth_module
-from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
+from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra
 from varietal.depth import (
     PairDepthGraph,
     maltsev_depth,

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from support import equiv_join, equiv_meet, lattice_join, lattice_meet, \
-    spanning_pairs
+    spanning_pairs, table_op
 from varietal import lattice
-from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra, table_op
+from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra
 from varietal.depth import principal_congruences, translation_system
 from varietal.lattice import (
     Lattice,

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ HALTING = str(FIXTURES / "halting.tm")
 # the package's public names by home module; `__all__` must keep exactly these
 HOMES = {
     "algebra": ("Budget", "BudgetExceeded", "Congruence", "DEFAULT_BUDGET",
-                "FiniteAlgebra", "Operation", "TranslationStep", "table_op"),
+                "FiniteAlgebra", "Operation", "TranslationStep"),
     "depth": ("PairDepthGraph", "TranslationSystem", "maltsev_depth",
               "pair_depth_graph", "principal_congruences", "translation_system"),
     "lattice": ("Lattice", "congruence_lattice", "is_meet_semidistributive",
@@ -22,13 +23,12 @@ HOMES = {
                         "vector_evaluator"),
     "subpower": ("Subpower", "close_subpower", "op_image", "translation_maps"),
     "tm": ("Instruction", "RunOutcome", "TMError", "TuringMachine", "load_tm",
-           "machine", "parse_tm", "run_bounded"),
+           "parse_tm", "run_bounded"),
     "witness": ("BnContext", "LEMMA_ORDER", "LemmaReport", "build_bn",
-                "explicit_chain_polynomial", "kprime_collapse", "run_lemma",
-                "verify_atomicity", "verify_bn_structure", "verify_chain",
-                "verify_depth", "verify_f_characterization", "verify_nonzero_ops",
-                "verify_omission_all", "verify_subalgebra_omission",
-                "verify_support_growth", "witness_tuples"),
+                "kprime_collapse", "run_lemma", "verify_atomicity",
+                "verify_bn_structure", "verify_chain", "verify_depth",
+                "verify_f_characterization", "verify_nonzero_ops",
+                "verify_omission_all", "verify_support_growth", "witness_tuples"),
 }
 
 
@@ -48,10 +48,10 @@ def test_compiling_a_machine_loads_only_what_it_needs():
 
 
 def test_exports_resolve_to_their_home_objects():
-    """`__all__` is the package's 59 public names (the seven modules
+    """`__all__` is the package's 55 public names (the seven modules
     among them); each resolves to what its module binds."""
     exports = sorted([*HOMES, *(name for names in HOMES.values() for name in names)])
-    assert len(exports) == 59
+    assert len(exports) == 55
     assert varietal.__all__ == exports
     for home, names in HOMES.items():
         module = importlib.import_module(f"varietal.{home}")
@@ -64,3 +64,52 @@ def test_exports_resolve_to_their_home_objects():
     assert set(exports) <= set(dir(varietal))
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         varietal.nope
+
+
+def _uses_in_home(tree: ast.Module, name: str) -> bool:
+    """Whether the module `tree` that defines `name` reads it outside its
+    own def or class: a load of the name where no enclosing function binds
+    it, or a string equal to it (lemmas dispatch to verifiers by name)."""
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return False
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a}
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            shadowed = shadowed or name in bound
+        if isinstance(node, ast.Name) and node.id == name and \
+                isinstance(node.ctx, ast.Load) and not shadowed:
+            return True
+        if isinstance(node, ast.Constant) and node.value == name:
+            return True
+        return any(visit(child, shadowed) for child in ast.iter_child_nodes(node))
+    return visit(tree, False)
+
+
+def _imported(tree: ast.Module, home: str, name: str) -> bool:
+    """Whether the module `tree` imports `name` from its home module, or
+    reads it as an attribute of that module."""
+    return any(
+        (isinstance(node, ast.ImportFrom) and node.module == home
+         and any(alias.name == name for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == home)
+        for node in ast.walk(tree))
+
+
+def test_every_export_is_used_in_the_package():
+    """Each public name other than a module is used somewhere in the
+    package beyond its own definition and the export table of
+    `__init__.py`, so no helper that only the tests need lives in src."""
+    src = os.path.dirname(varietal.__file__)
+    trees = {path[:-3]: ast.parse(open(os.path.join(src, path)).read())
+             for path in sorted(os.listdir(src))
+             if path.endswith(".py") and path != "__init__.py"}
+    unused = [name for name in varietal.__all__ if name not in HOMES
+              if not any(_uses_in_home(tree, name) if module == varietal._HOME[name]
+                         else _imported(tree, varietal._HOME[name], name)
+                         for module, tree in trees.items())]
+    assert unused == []

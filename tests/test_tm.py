@@ -1,11 +1,10 @@
 import pytest
 
-from support import format_tm
+from support import format_tm, machine
 from varietal.tm import (
     Instruction,
     TMError,
     TuringMachine,
-    machine,
     parse_tm,
     run_bounded,
 )

@@ -17,13 +17,13 @@ from varietal.witness import (
     NONZERO_OPS,
     LemmaReport,
     build_bn,
-    explicit_chain_polynomial,
     kprime_collapse,
     run_lemma,
     skipped,
+    verify_chain,
     verify_f_characterization,
     verify_nonzero_ops,
-    verify_subalgebra_omission,
+    verify_omission_all,
     verify_support_growth,
     witness_tuples,
 )
@@ -214,11 +214,26 @@ def test_theta_structure(ctx3):
 
 
 def test_chain_polynomial_endpoints(ctx4):
-    steps, on_a, on_zero = explicit_chain_polynomial(ctx4)
-    assert len(steps) == 3
-    assert all(s.op == "J'" and s.position == 2 for s in steps)
-    assert on_a == ctx4.id_of(ctx4.b[4])
-    assert on_zero == ctx4.id_of(ctx4.c[4])
+    report = verify_chain(ctx4)
+    assert report.passed, report.counterexamples
+    chain = report.witnesses[0]["chain"]
+    assert report.witnesses[0]["length"] == len(chain) == 3
+    assert all(s["op"] == "J'" and s["position"] == 2 for s in chain)
+    assert [s["constants"] for s in chain] == \
+        [[ctx4.render(ctx4.b[l]), ctx4.render(ctx4.d[l])] for l in (2, 3, 4)]
+
+
+def test_chain_reports_the_step_a_wrong_constant_breaks(ctx3):
+    """With d_2 in place of d_3, the last step leaves (b_2, c_2) where it
+    should reach (b_3, c_3)."""
+    wrong = dataclasses.replace(ctx3, d={**ctx3.d, 3: ctx3.d[2]})
+    report = verify_chain(wrong)
+    assert report.status == "FAILED"
+    assert report.counterexamples == [
+        {"step": 3, "expected": ctx3.render(ctx3.b[3]), "got": ctx3.render(ctx3.b[2])},
+        {"step": 3, "expected": ctx3.render(ctx3.c[3]), "got": ctx3.render(ctx3.c[2])}]
+    assert report.witnesses[0]["chain"][1]["constants"][1] == \
+        ctx3.render(ctx3.d[2])
 
 
 def test_single_chain_step_grows_support_by_one(ctx2):
@@ -382,15 +397,25 @@ def test_f_characterization_partner(ctx3):
 
 
 def test_omission_details(ctx3):
-    for k in (2, 3):
-        report = verify_subalgebra_omission(ctx3, k)
-        assert report.passed, report.counterexamples
-        sizes = report.witnesses[0]
+    report = verify_omission_all(ctx3)
+    assert report.passed, report.counterexamples
+    assert [w["k"] for w in report.witnesses] == [2, 3]
+    for w in report.witnesses:
+        sizes = w["details"][0]
+        assert sizes["omitted"] == ctx3.render(ctx3.d[w["k"]])
         assert sizes["closure_size"] < sizes["full_size"] == 14
-    with pytest.raises(ValueError):
-        verify_subalgebra_omission(ctx3, 1)
-    with pytest.raises(ValueError):
-        verify_subalgebra_omission(ctx3, 4)
+
+
+def test_omission_fails_for_each_k_when_no_generator_is_dropped(ctx3,
+                                                                  monkeypatch):
+    """A closure that gives back the whole subpower keeps (b_3, c_3)
+    linked, so every k reports the closure, b_3's class and the link."""
+    monkeypatch.setattr(witness, "close_subpower", lambda *args: ctx3.subpower)
+    report = verify_omission_all(ctx3)
+    assert report.status == "FAILED"
+    assert [(c["k"], list(c)) for c in report.counterexamples] == \
+        [(k, ["k", kind]) for k in (2, 3) for kind in ("closure", "b_n_class", "related")]
+    assert [w["details"][1] for w in report.witnesses] == [{"c_n_in_C": True}] * 2
 
 
 def test_report_json_shape():
