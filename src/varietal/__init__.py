@@ -12,13 +12,14 @@ _EXPORTS = {"algebra": "Budget BudgetExceeded Congruence DEFAULT_BUDGET FiniteAl
                      "principal_congruences translation_system",
             "lattice": "Lattice congruence_lattice is_meet_semidistributive "
                        "lattice_of_congruences m3_lattice",
-            "machine_algebra": "Element MachineAlgebra compile_machine vector_evaluator",
+            "machine_algebra": "BnContext Element MachineAlgebra build_bn compile_machine "
+                               "vector_evaluator witness_tuples",
             "subpower": "Subpower close_subpower op_image translation_maps",
             "tm": "Instruction RunOutcome TMError TuringMachine load_tm parse_tm run_bounded",
-            "witness": "BnContext LEMMA_ORDER LemmaReport build_bn kprime_collapse "
-                       "run_lemma verify_atomicity verify_bn_structure verify_chain "
-                       "verify_depth verify_f_characterization verify_nonzero_ops "
-                       "verify_omission_all verify_support_growth witness_tuples"}
+            "witness": "LEMMA_ORDER LemmaReport kprime_collapse run_lemma "
+                       "verify_atomicity verify_bn_structure verify_chain verify_depth "
+                       "verify_f_characterization verify_nonzero_ops verify_omission_all "
+                       "verify_support_growth"}
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in (mod, *names.split())}
 __all__ = sorted(_HOME)
 

@@ -13,8 +13,7 @@ elements is `subpower.close_subpower` at width 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,14 +26,15 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"budget exceeded: {what}" + (f" ({detail})" if detail else ""))
 
 
-@dataclass
 class Budget:
     """Hard resource caps.  deadline is a time.monotonic() timestamp."""
 
-    max_elements: int = 1_000_000
-    max_pairs: int = 5_000_000
-    max_signatures: int = 2_000_000
-    deadline: float | None = None
+    def __init__(self, max_elements: int = 1_000_000, max_pairs: int = 5_000_000,
+                 max_signatures: int = 2_000_000, deadline: float | None = None):
+        self.max_elements = max_elements
+        self.max_pairs = max_pairs
+        self.max_signatures = max_signatures
+        self.deadline = deadline
 
     def check_elements(self, count: int):
         if count > self.max_elements:
@@ -67,8 +67,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """A named finitary operation on element indices.
 
     func takes `arity` positional int arguments and returns an int.
@@ -82,20 +81,18 @@ class Operation:
         return self.func(*args)
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """Universe 0..size-1 plus named operations.  `automata` caches the
     coordinate automata of its operations (see `subpower`).  On the element
     ids of a subpower, operations evaluate through `Subpower.eval`."""
 
-    size: int
-    ops: tuple[Operation, ...]
-    automata: dict = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        symbols = [op.symbol for op in self.ops]
+    def __init__(self, size: int, ops: tuple[Operation, ...]):
+        symbols = [op.symbol for op in ops]
         if len(set(symbols)) != len(symbols):
             raise ValueError("duplicate operation symbols")
+        self.size = size
+        self.ops = ops
+        self.automata: dict = {}
 
     def op(self, symbol: str) -> Operation:
         for op in self.ops:
@@ -104,8 +101,7 @@ class FiniteAlgebra:
         raise KeyError(f"unknown operation {symbol!r}")
 
 
-@dataclass(frozen=True)
-class TranslationStep:
+class TranslationStep(NamedTuple):
     """One fundamental translation: fix every argument of `op` except
     `position` with the listed constants (position-ascending order)."""
 
@@ -162,22 +158,23 @@ def _meets(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return first.reshape(rows, size) - (np.arange(rows) * size)[:, None]
 
 
-@dataclass(frozen=True, eq=False)
 class Congruence:
     """A partition in least form: least[i] is the least member of element
     i's block, a read-only intp array.  Equal partitions have equal least
     forms, so the bytes of `least` are its identity."""
 
-    least: np.ndarray
-
-    def __post_init__(self):
-        least = np.array(self.least, dtype=np.intp)
+    def __init__(self, least: np.ndarray):
+        least = np.array(least, dtype=np.intp)
         if least.ndim != 1 or (least < 0).any() or \
                 (least > np.arange(len(least))).any() or (least[least] != least).any():
             raise ValueError("not a least form: each entry must be the least "
                              "member of its block, at or below its own index")
         least.flags.writeable = False
-        object.__setattr__(self, "least", least)
+        self._least = least
+
+    @property
+    def least(self) -> np.ndarray:
+        return self._least
 
     def __eq__(self, other):
         if not isinstance(other, Congruence):

@@ -3,10 +3,12 @@
 Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``verify``,
 ``depth``, ``sd-meet``.  Each leaf parser names its handler with
 ``set_defaults(run=...)``, and `main` calls ``args.run(args, budget)``
-inside the one set of error handlers.  All structured output is JSON with
-``"schema": 1``, sorted keys, two-space indent, and a trailing newline;
-identical arguments give byte-identical documents; verify only echoes
---seed, as no check samples.  Timings are zeroed without --timings.
+inside the one set of error handlers.  A handler imports the lemma suite
+(`witness`) or `lattice` itself, so a command loads only what it runs.
+All structured output is JSON with ``"schema": 1``, sorted keys,
+two-space indent, and a trailing newline; identical arguments give
+byte-identical documents; verify only echoes --seed, as no check
+samples.  Timings are zeroed without --timings.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error, 3 all passed but some were skipped on budget.  The
@@ -24,13 +26,14 @@ import sys
 import time
 
 from .algebra import Budget, BudgetExceeded
-from .lattice import congruence_lattice, is_meet_semidistributive, \
-    lattice_of_congruences, m3_lattice
-from .machine_algebra import compile_machine
+from .machine_algebra import build_bn, compile_machine
 from .tm import TMError, load_tm, run_bounded
-from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER, build_bn, run_lemma, skipped
 
 SCHEMA = 1
+# the --lemma choices: witness.LEMMA_ORDER, spelled out so that parsing
+# loads no lemma code
+LEMMAS = ("structure", "nonzero-ops", "atomic", "chain", "f-char", "omission",
+          "support-growth", "depth", "k-collapse")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -144,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(verify_p)
     verify_p.add_argument("--seed", type=int, default=0,
                           help="echoed in the document; changes no verdict")
-    verify_p.add_argument("--lemma", choices=LEMMA_ORDER,
+    verify_p.add_argument("--lemma", choices=LEMMAS,
                           help="restrict to one lemma")
     verify_p.set_defaults(run=_cmd_verify)
 
@@ -216,6 +219,7 @@ def _run_width(ma, n: int, lemmas, budget: Budget):
     """All requested lemmas at one width, sharing one context.  When its
     build runs out of budget, every plain lemma is skipped on that one
     failure; k-collapse still runs on its own K-extended build."""
+    from .witness import KCOLLAPSE_MIN_N, run_lemma, skipped
     reports, ctx, failed = [], None, None
     for lemma in lemmas:
         if lemma == "k-collapse":
@@ -233,6 +237,7 @@ def _run_width(ma, n: int, lemmas, budget: Budget):
 
 
 def _cmd_verify(args, budget: Budget) -> int:
+    from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER
     if args.lemma == "k-collapse" and args.n[1] < KCOLLAPSE_MIN_N:
         print(f"error: k-collapse needs a width of {KCOLLAPSE_MIN_N} or more, "
               f"but --n stops at {args.n[1]}", file=sys.stderr)
@@ -252,6 +257,7 @@ def _cmd_verify(args, budget: Budget) -> int:
 
 
 def _cmd_depth(args, budget: Budget) -> int:
+    from .witness import run_lemma
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
     reports = [run_lemma("depth", ma, n, budget=budget)
@@ -266,6 +272,8 @@ def _cmd_depth(args, budget: Budget) -> int:
 
 
 def _cmd_sd_meet(args, budget: Budget) -> int:
+    from .lattice import congruence_lattice, is_meet_semidistributive, \
+        lattice_of_congruences, m3_lattice
     if args.fixture == "m3":
         lat = m3_lattice()
         sd, witness = is_meet_semidistributive(lat, budget=budget)

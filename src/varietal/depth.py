@@ -27,7 +27,6 @@ a TranslationSystem and nothing else of the algebra;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +42,6 @@ from .algebra import (
 from .subpower import Subpower, _distinct, translation_maps
 
 
-@dataclass(eq=False)
 class TranslationSystem:
     """Deduped unary translation maps with canonical witnesses: row i of
     the C-contiguous (maps x universe) table is the map that steps[i]
@@ -51,8 +49,9 @@ class TranslationSystem:
     table holds element ids in the narrowest unsigned dtype for the
     universe, so arithmetic on them widens first."""
 
-    table: np.ndarray
-    steps: list[TranslationStep]
+    def __init__(self, table: np.ndarray, steps: list[TranslationStep]):
+        self.table = table
+        self.steps = steps
 
 
 def translation_system(target: FiniteAlgebra | Subpower,
@@ -66,16 +65,16 @@ def translation_system(target: FiniteAlgebra | Subpower,
     return TranslationSystem(*translation_maps(target, symbols, budget))
 
 
-@dataclass(eq=False)
 class PairDepthGraph:
     """The pair walk from a source pair on a universe of `size` elements:
     `pairs` is a (P, 2) intp array of the reached pairs (x, y), x <= y, in
     layer order, and depth[i] is the layer of pairs[i], the least number
     of translations that take the source pair onto it."""
 
-    size: int
-    pairs: np.ndarray
-    depth: np.ndarray
+    def __init__(self, size: int, pairs: np.ndarray, depth: np.ndarray):
+        self.size = size
+        self.pairs = pairs
+        self.depth = depth
 
     def congruence(self) -> Congruence:
         """Cg of the source pair: the equivalence the reached pairs generate."""

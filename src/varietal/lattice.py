@@ -24,7 +24,6 @@ Every block and slab comes from `Budget.blocks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -90,14 +89,14 @@ def _joins(frontier: np.ndarray, forms: np.ndarray, theta: np.ndarray,
         yield least.reshape(-1, size) - offset
 
 
-@dataclass(frozen=True, eq=False)
 class Lattice:
     """A finite lattice given by dense join and meet tables, read-only
     intp arrays."""
 
-    size: int
-    join_table: np.ndarray
-    meet_table: np.ndarray
+    def __init__(self, size: int, join_table: np.ndarray, meet_table: np.ndarray):
+        self.size = size
+        self.join_table = join_table
+        self.meet_table = meet_table
 
     @staticmethod
     def from_order(leq: Sequence[Sequence[bool]], *,

@@ -21,22 +21,29 @@ families by (state, read, t), then R families, then U1_F/U0_F per family
 in the same order, then K when present.  Every operation evaluates by
 its case rules; a dense table of an operation of arity <= 3 is filled
 only when a numpy evaluator (vector_evaluator) first asks for it.
+
+`build_bn` closes the witness generators at width n (`witness` states
+them and checks its lemmas) into a `BnContext`, which builds its
+translation system and pair walk on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation
+from .algebra import Budget, DEFAULT_BUDGET, FiniteAlgebra, Operation, TranslationStep
 from .tm import TuringMachine
 
+if TYPE_CHECKING:
+    from .depth import PairDepthGraph, TranslationSystem
+    from .subpower import Subpower
 
-@dataclass(frozen=True)
-class Element:
+
+class Element(NamedTuple):
     """One universe member.
 
     family: "zero" | "head" | "letter" | "cell".
@@ -322,6 +329,101 @@ class MachineAlgebra:
 
 def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlgebra:
     return MachineAlgebra(machine, with_k=with_k)
+
+
+# ---------------------------------------------------------------------------
+# the witness subpower B_n (its lemmas are in `witness`)
+#
+# The closure, the translation system and the walk are imported where they
+# are first built, so that compiling a machine loads none of their modules.
+
+class BnContext:
+    """The witness subpower plus named generators and derived tuples, with
+    its translation system and its pair walk from (a, 0), each built once."""
+
+    def __init__(self, n: int, algebra: MachineAlgebra, subpower: Subpower,
+                 a: tuple[int, ...], b: dict[int, tuple[int, ...]],
+                 d: dict[int, tuple[int, ...]], c: dict[int, tuple[int, ...]],
+                 zero_tuple: tuple[int, ...], budget: Budget):
+        self.n = n
+        self.algebra = algebra
+        self.subpower = subpower
+        self.a = a
+        self.b = b
+        self.d = d
+        self.c = c
+        self.zero_tuple = zero_tuple
+        self.budget = budget
+        self._system: TranslationSystem | None = None
+        self._walk: PairDepthGraph | None = None
+
+    def id_of(self, raw: tuple[int, ...]) -> int:
+        return self.subpower.index[raw]
+
+    @property
+    def a_id(self) -> int:
+        return self.id_of(self.a)
+
+    @property
+    def zero_id(self) -> int:
+        return self.id_of(self.zero_tuple)
+
+    def system(self) -> TranslationSystem:
+        if self._system is None:
+            from .depth import translation_system
+            self._system = translation_system(self.subpower, budget=self.budget)
+        return self._system
+
+    def walk(self) -> PairDepthGraph:
+        """The pair walk from (a, 0), shared by atomic, chain, f-char and depth."""
+        if self._walk is None:
+            from .depth import pair_depth_graph
+            self._walk = pair_depth_graph(self.system(), self.a_id, self.zero_id,
+                                          budget=self.budget)
+        return self._walk
+
+    def render(self, raw: tuple[int, ...]) -> list[str]:
+        names = self.algebra.names
+        return [names[v] for v in raw]
+
+    def render_id(self, element_id: int) -> list[str]:
+        return self.render(self.subpower.elements[element_id])
+
+    def step_json(self, step: TranslationStep) -> dict:
+        return {"op": step.op, "position": step.position,
+                "constants": [self.render_id(c) for c in step.constants]}
+
+
+def witness_tuples(ma: MachineAlgebra, n: int):
+    """The generator and derived tuples, instantiated at width n."""
+    dd = ma.idx("D")
+    bd = ma.idx("bD")
+    b = {i: (dd,) * i + (0,) * (n - i) for i in range(1, n + 1)}
+    d = {i: (dd,) * (i - 1) + (bd,) + (0,) * (n - i) for i in range(2, n + 1)}
+    c = {i: (0,) + (dd,) * (i - 1) + (0,) * (n - i) for i in range(1, n + 1)}
+    return b, d, c
+
+
+def build_bn(ma: MachineAlgebra, n: int,
+             budget: Budget = DEFAULT_BUDGET) -> BnContext:
+    """Close the witness generators inside the n-th power.
+
+    The closure sweeps every operation of the algebra; the claim that
+    only four of them matter is verified afterwards, not assumed.
+    """
+    if n < 2:
+        raise ValueError("witness width must be at least 2")
+    from .subpower import close_subpower
+    b, d, c = witness_tuples(ma, n)
+    gens = [b[i] for i in range(1, n + 1)] + [d[i] for i in range(2, n + 1)]
+    sp = close_subpower(ma.algebra, n, gens, budget)
+    ctx = BnContext(n=n, algebra=ma, subpower=sp, a=b[1], b=b, d=d, c=c,
+                    zero_tuple=(0,) * n, budget=budget)
+    # sanity: the derived tuples really are in the closure
+    for raw in [c[i] for i in range(1, n + 1)] + [ctx.zero_tuple]:
+        if raw not in sp.index:
+            raise ValueError(f"{ctx.render(raw)} missing from the closure")
+    return ctx
 
 
 # ---------------------------------------------------------------------------

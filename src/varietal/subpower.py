@@ -59,9 +59,8 @@ witnesses are lexicographically least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, islice, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,8 +80,7 @@ _MAX_WORDS = 2_000_000
 _WORDS_PER_CHECK = 1 << 16
 
 
-@dataclass(frozen=True)
-class OpAutomaton:
+class OpAutomaton(NamedTuple):
     """One operation on an alphabet as a layered automaton of suffix classes."""
     arity: int
     alphabet: tuple[int, ...]
@@ -159,7 +157,6 @@ def _automaton(base: FiniteAlgebra, op: Operation, alphabet: tuple[int, ...],
     return aut
 
 
-@dataclass(eq=False)
 class Subpower:
     """A subuniverse of base^width, closed under every operation.
 
@@ -168,15 +165,14 @@ class Subpower:
     element ids (`eval`).
     """
 
-    base: FiniteAlgebra
-    width: int
-    elements: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int] = field(init=False)
-
-    def __post_init__(self):
-        self.index = {t: i for i, t in enumerate(self.elements)}
-        for op in self.base.ops:
-            if op.arity == 0 and (op.func(),) * self.width not in self.index:
+    def __init__(self, base: FiniteAlgebra, width: int,
+                 elements: tuple[tuple[int, ...], ...]):
+        self.base = base
+        self.width = width
+        self.elements = elements
+        self.index = {t: i for i, t in enumerate(elements)}
+        for op in base.ops:
+            if op.arity == 0 and (op.func(),) * width not in self.index:
                 raise ValueError(f"{op.symbol} constant escapes the subuniverse")
 
     @property

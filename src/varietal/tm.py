@@ -16,7 +16,7 @@ flag so that bounded runs always classify.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Budget, DEFAULT_BUDGET
 
@@ -38,8 +38,7 @@ class TMError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One transition: in `state` reading `read`, write, move, change state."""
 
     state: int
@@ -49,23 +48,20 @@ class Instruction:
     next_state: int
 
 
-@dataclass(frozen=True)
 class TuringMachine:
-    """states[0] is the halting state, states[1] the initial state."""
+    """states[0] is the halting state, states[1] the initial state.  Two
+    machines are equal when their states and instructions are."""
 
-    states: tuple[str, ...]
-    instructions: tuple[Instruction, ...]
-
-    def __post_init__(self):
-        if len(self.states) < 2:
+    def __init__(self, states: tuple[str, ...], instructions: tuple[Instruction, ...]):
+        if len(states) < 2:
             raise TMError("a machine needs a halting state and an initial state")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise TMError("duplicate state names")
         seen: set[tuple[int, int]] = set()
-        for ins in self.instructions:
-            if not (0 <= ins.state < len(self.states)):
+        for ins in instructions:
+            if not (0 <= ins.state < len(states)):
                 raise TMError(f"instruction state {ins.state} out of range")
-            if not (0 <= ins.next_state < len(self.states)):
+            if not (0 <= ins.next_state < len(states)):
                 raise TMError(f"next state {ins.next_state} out of range")
             if ins.state == 0:
                 raise TMError("no instruction may leave the halting state")
@@ -76,9 +72,19 @@ class TuringMachine:
             key = (ins.state, ins.read)
             if key in seen:
                 raise TMError(
-                    f"duplicate instruction for state {self.states[ins.state]!r} reading {ins.read}"
+                    f"duplicate instruction for state {states[ins.state]!r} reading {ins.read}"
                 )
             seen.add(key)
+        self.states = states
+        self.instructions = instructions
+
+    def __eq__(self, other):
+        if not isinstance(other, TuringMachine):
+            return NotImplemented
+        return (self.states, self.instructions) == (other.states, other.instructions)
+
+    def __hash__(self):
+        return hash((self.states, self.instructions))
 
     @property
     def halting_state(self) -> int:
@@ -93,8 +99,7 @@ class TuringMachine:
         return tuple(sorted(self.instructions, key=lambda ins: (ins.state, ins.read)))
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """run_bounded's verdict, with the moves made when it halted or stalled."""
     halted: bool
     steps: int | None = None

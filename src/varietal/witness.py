@@ -1,4 +1,4 @@
-"""Witness subpowers and the lemma-level verification suite.
+"""The lemma-level verification suite on the witness subpowers.
 
 For a compiled machine algebra and a width n >= 2, the witness subpower
 is generated inside the n-th power by the tuples
@@ -7,7 +7,9 @@ is generated inside the n-th power by the tuples
     d_i = (D,...,D,bD,0,...)  with bD at coordinate i, 2 <= i <= n,
 
 with a = b_1.  The derived tuples c_i = (0,D,...,D,0,...) (D at
-coordinates 2..i) appear in the closure.  Every verifier returns a
+coordinates 2..i) appear in the closure, which `build_bn` (in
+`machine_algebra`, so that commands that run no lemma need not load
+this module) wraps in a `BnContext`.  Every verifier returns a
 LemmaReport carrying pass/fail, witnesses, counterexamples and its
 `pairs` count, and never raises on a falsified claim.  A verifier lets
 BudgetExceeded propagate: `run_lemma` alone builds the context, times
@@ -30,31 +32,34 @@ Verifier index (CLI lemma names):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .algebra import Budget, BudgetExceeded, DEFAULT_BUDGET, TranslationStep
-from .depth import PairDepthGraph, TranslationSystem, maltsev_depth, \
-    pair_depth_graph, principal_congruences, translation_system
-from .machine_algebra import MachineAlgebra, vector_evaluator
-from .subpower import Subpower, close_subpower, op_image
+from .depth import maltsev_depth, pair_depth_graph, principal_congruences, \
+    translation_system
+from .machine_algebra import BnContext, MachineAlgebra, build_bn, \
+    vector_evaluator, witness_tuples
+from .subpower import close_subpower, op_image
 
 NONZERO_OPS = ("meet", "J", "J'", "S2")
 
 
-@dataclass
 class LemmaReport:
     """One lemma's verdict at width n, with its witnesses, counterexamples and stats."""
-    lemma: str
-    n: int
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    skipped: bool = False
-    note: str = ""
+
+    def __init__(self, lemma: str, n: int, passed: bool,
+                 witnesses: list | None = None, counterexamples: list | None = None,
+                 stats: dict | None = None, skipped: bool = False, note: str = ""):
+        self.lemma = lemma
+        self.n = n
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.stats = {} if stats is None else stats
+        self.skipped = skipped
+        self.note = note
 
     @property
     def status(self) -> str:
@@ -78,89 +83,6 @@ class LemmaReport:
         if self.note:
             doc["note"] = self.note
         return doc
-
-
-@dataclass(eq=False)
-class BnContext:
-    """The witness subpower plus named generators and derived tuples, with
-    its translation system and its pair walk from (a, 0), each built once."""
-
-    n: int
-    algebra: MachineAlgebra
-    subpower: Subpower
-    a: tuple[int, ...]
-    b: dict[int, tuple[int, ...]]
-    d: dict[int, tuple[int, ...]]
-    c: dict[int, tuple[int, ...]]
-    zero_tuple: tuple[int, ...]
-    budget: Budget
-    _system: TranslationSystem | None = None
-    _walk: PairDepthGraph | None = None
-
-    def id_of(self, raw: tuple[int, ...]) -> int:
-        return self.subpower.index[raw]
-
-    @property
-    def a_id(self) -> int:
-        return self.id_of(self.a)
-
-    @property
-    def zero_id(self) -> int:
-        return self.id_of(self.zero_tuple)
-
-    def system(self) -> TranslationSystem:
-        if self._system is None:
-            self._system = translation_system(self.subpower, budget=self.budget)
-        return self._system
-
-    def walk(self) -> PairDepthGraph:
-        """The pair walk from (a, 0), shared by atomic, chain, f-char and depth."""
-        if self._walk is None:
-            self._walk = pair_depth_graph(self.system(), self.a_id, self.zero_id,
-                                          budget=self.budget)
-        return self._walk
-
-    def render(self, raw: tuple[int, ...]) -> list[str]:
-        names = self.algebra.names
-        return [names[v] for v in raw]
-
-    def render_id(self, element_id: int) -> list[str]:
-        return self.render(self.subpower.elements[element_id])
-
-    def step_json(self, step: TranslationStep) -> dict:
-        return {"op": step.op, "position": step.position,
-                "constants": [self.render_id(c) for c in step.constants]}
-
-
-def witness_tuples(ma: MachineAlgebra, n: int):
-    """The generator and derived tuples, instantiated at width n."""
-    dd = ma.idx("D")
-    bd = ma.idx("bD")
-    b = {i: (dd,) * i + (0,) * (n - i) for i in range(1, n + 1)}
-    d = {i: (dd,) * (i - 1) + (bd,) + (0,) * (n - i) for i in range(2, n + 1)}
-    c = {i: (0,) + (dd,) * (i - 1) + (0,) * (n - i) for i in range(1, n + 1)}
-    return b, d, c
-
-
-def build_bn(ma: MachineAlgebra, n: int,
-             budget: Budget = DEFAULT_BUDGET) -> BnContext:
-    """Close the witness generators inside the n-th power.
-
-    The closure sweeps every operation of the algebra; the claim that
-    only four of them matter is verified afterwards, not assumed.
-    """
-    if n < 2:
-        raise ValueError("witness width must be at least 2")
-    b, d, c = witness_tuples(ma, n)
-    gens = [b[i] for i in range(1, n + 1)] + [d[i] for i in range(2, n + 1)]
-    sp = close_subpower(ma.algebra, n, gens, budget)
-    ctx = BnContext(n=n, algebra=ma, subpower=sp, a=b[1], b=b, d=d, c=c,
-                    zero_tuple=(0,) * n, budget=budget)
-    # sanity: the derived tuples really are in the closure
-    for raw in [c[i] for i in range(1, n + 1)] + [ctx.zero_tuple]:
-        if raw not in sp.index:
-            raise ValueError(f"{ctx.render(raw)} missing from the closure")
-    return ctx
 
 
 def skipped(lemma: str, n: int, exc: BudgetExceeded) -> LemmaReport:

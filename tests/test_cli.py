@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varietal import cli, witness
+from varietal import cli, lattice, witness
+from varietal.algebra import Budget
 from varietal.cli import _exit_code, _parse_range, main
 from varietal.depth import TranslationSystem
 from varietal.machine_algebra import MachineAlgebra
@@ -188,6 +188,24 @@ def test_verify_one_lemma(tmp_path):
     assert all(r["stats"]["seconds"] == 0.0 for r in doc["reports"])
 
 
+def test_lemma_choices_are_the_lemma_order(monkeypatch, capsys):
+    """The parser spells out the lemma names so as not to load `witness`;
+    they must stay witness's names in its order, and a name outside them
+    is argparse's usage error."""
+    assert cli.LEMMAS == LEMMA_ORDER
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["verify", "--tm", HALTING, "--lemma", "nope"]) == 2
+    assert capsys.readouterr() == ("", """\
+usage: varietal verify [-h] --tm TM [--n N] [--max-elements MAX_ELEMENTS]
+                       [--max-pairs MAX_PAIRS] [--timings] [--out OUT]
+                       [--seed SEED]
+                       [--lemma {structure,nonzero-ops,atomic,chain,f-char,omission,support-growth,depth,k-collapse}]
+varietal verify: error: argument --lemma: invalid choice: 'nope' (choose from \
+'structure', 'nonzero-ops', 'atomic', 'chain', 'f-char', 'omission', \
+'support-growth', 'depth', 'k-collapse')
+""")
+
+
 def test_verify_k_collapse_below_its_minimum_width_is_a_usage_error(capsys):
     assert main(["verify", "--tm", HALTING, "--lemma", "k-collapse",
                  "--n", "2"]) == 2
@@ -270,8 +288,8 @@ def test_verify_charges_every_width_to_one_budget(tmp_path, monkeypatch):
         budgets.append(budget)
         return real(lemma, ma, n, budget=budget, ctx=ctx)
 
-    real = cli.run_lemma
-    monkeypatch.setattr(cli, "run_lemma", recording)
+    real = witness.run_lemma
+    monkeypatch.setattr(witness, "run_lemma", recording)
     assert main(["verify", "--tm", HALTING, "--lemma", "structure",
                  "--n", "2..4", "--out", str(tmp_path / "v.json")]) == 0
     assert len(budgets) == 3
@@ -424,14 +442,14 @@ def test_sd_meet_verdicts_survive_optimized_mode():
 
 
 def test_sd_meet_reports_an_escaped_meet(tmp_path, monkeypatch):
-    real = cli.congruence_lattice
+    real = lattice.congruence_lattice
 
     def escaping_at_width_3(system, **kwargs):
         if system.table.shape[1] == 14:
             raise ValueError("meet escaped the generated lattice")
         return real(system, **kwargs)
 
-    monkeypatch.setattr(cli, "congruence_lattice", escaping_at_width_3)
+    monkeypatch.setattr(lattice, "congruence_lattice", escaping_at_width_3)
     out = tmp_path / "sd.json"
     assert main(["sd-meet", "--tm", HALTING, "--n", "2..3",
                  "--out", str(out)]) == 1
@@ -449,14 +467,16 @@ def test_sd_meet_names_the_cell_cap_of_the_lattice(monkeypatch, capsys):
     lattice is taken over the first `cap` translation maps of B_2 only, so
     each block of its pair pass, at one cell a map, fits the cap and the
     label rows of six cells are what go over it."""
-    real = cli.congruence_lattice
+    real = lattice.congruence_lattice
 
     def narrow(system, *, budget):
         cap = system.table.shape[1] - 1
         system = TranslationSystem(system.table[:cap], system.steps[:cap])
-        return real(system, budget=dataclasses.replace(budget, max_signatures=cap))
+        capped = Budget(budget.max_elements, budget.max_pairs,
+                        max_signatures=cap, deadline=budget.deadline)
+        return real(system, budget=capped)
 
-    monkeypatch.setattr(cli, "congruence_lattice", narrow)
+    monkeypatch.setattr(lattice, "congruence_lattice", narrow)
     assert main(["sd-meet", "--tm", HALTING, "--n", "2"]) == 3
     assert "budget exceeded: max_signatures (6 > 5)" in capsys.readouterr().err
 

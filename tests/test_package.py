@@ -19,16 +19,15 @@ HOMES = {
               "pair_depth_graph", "principal_congruences", "translation_system"),
     "lattice": ("Lattice", "congruence_lattice", "is_meet_semidistributive",
                 "lattice_of_congruences", "m3_lattice"),
-    "machine_algebra": ("Element", "MachineAlgebra", "compile_machine",
-                        "vector_evaluator"),
+    "machine_algebra": ("BnContext", "Element", "MachineAlgebra", "build_bn",
+                        "compile_machine", "vector_evaluator", "witness_tuples"),
     "subpower": ("Subpower", "close_subpower", "op_image", "translation_maps"),
     "tm": ("Instruction", "RunOutcome", "TMError", "TuringMachine", "load_tm",
            "parse_tm", "run_bounded"),
-    "witness": ("BnContext", "LEMMA_ORDER", "LemmaReport", "build_bn",
-                "kprime_collapse", "run_lemma", "verify_atomicity",
-                "verify_bn_structure", "verify_chain", "verify_depth",
-                "verify_f_characterization", "verify_nonzero_ops",
-                "verify_omission_all", "verify_support_growth", "witness_tuples"),
+    "witness": ("LEMMA_ORDER", "LemmaReport", "kprime_collapse", "run_lemma",
+                "verify_atomicity", "verify_bn_structure", "verify_chain",
+                "verify_depth", "verify_f_characterization", "verify_nonzero_ops",
+                "verify_omission_all", "verify_support_growth"),
 }
 
 
@@ -45,6 +44,34 @@ def test_compiling_a_machine_loads_only_what_it_needs():
     run = subprocess.run([sys.executable, "-c", code, HALTING], env=env,
                          capture_output=True, timeout=120)
     assert run.stdout.decode().split() == ["[]", "[]"], run.stderr
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["bn", "build", "--with-k", "--n", "2..3", "--tm", HALTING],
+     {"depth", "lattice", "witness"}),
+    (["sd-meet", "--n", "2", "--tm", HALTING], {"witness"}),
+    (["verify", "--n", "2", "--tm", HALTING], {"lattice"}),
+    (["depth", "--n", "2", "--tm", HALTING], {"lattice"}),
+    (["tm", "run", HALTING], {"subpower", "depth", "lattice", "witness"}),
+    (["algebra", "build", "--tm", HALTING],
+     {"subpower", "depth", "lattice", "witness"}),
+], ids=["bn build --with-k", "sd-meet", "verify", "depth", "tm run",
+        "algebra build"])
+def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+    """In a fresh interpreter each command succeeds without loading the
+    modules it does not run, so it never compiles their source."""
+    code = ("import contextlib, io, sys\n"
+            "from varietal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('varietal.')))\n")
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, timeout=120)
+    code, *loaded = run.stdout.decode().split()
+    assert code == "0", run.stderr
+    assert "varietal.cli" in loaded
+    assert unloaded.isdisjoint(m.split(".")[1] for m in loaded), loaded
 
 
 def test_exports_resolve_to_their_home_objects():

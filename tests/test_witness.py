@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import time
 
 import numpy as np
@@ -34,6 +34,14 @@ HALTING = str(FIXTURES / "halting.tm")
 
 def get_ctx(request, n):
     return request.getfixturevalue(f"ctx{n}")
+
+
+def altered(ctx, **changes):
+    """A shallow copy of a BnContext with some of its attributes replaced."""
+    assert changes.keys() <= vars(ctx).keys()
+    ctx = copy.copy(ctx)
+    vars(ctx).update(changes)
+    return ctx
 
 
 def test_witness_tuples_shapes(ma2):
@@ -226,7 +234,7 @@ def test_chain_polynomial_endpoints(ctx4):
 def test_chain_reports_the_step_a_wrong_constant_breaks(ctx3):
     """With d_2 in place of d_3, the last step leaves (b_2, c_2) where it
     should reach (b_3, c_3)."""
-    wrong = dataclasses.replace(ctx3, d={**ctx3.d, 3: ctx3.d[2]})
+    wrong = altered(ctx3, d={**ctx3.d, 3: ctx3.d[2]})
     report = verify_chain(wrong)
     assert report.status == "FAILED"
     assert report.counterexamples == [
@@ -302,14 +310,14 @@ def test_nonzero_ops_charges_each_value_grid(ma2):
 
 
 def test_nonzero_ops_honours_an_expired_deadline(ctx2):
-    ctx = dataclasses.replace(ctx2, budget=Budget(deadline=time.monotonic() - 1))
+    ctx = altered(ctx2, budget=Budget(deadline=time.monotonic() - 1))
     report = run_lemma("nonzero-ops", ctx.algebra, 2, ctx=ctx)
     assert report.status == "SKIPPED"
     assert "max_seconds" in report.note
 
 
 def test_verifiers_let_an_exhausted_budget_propagate(ctx2):
-    ctx = dataclasses.replace(ctx2, budget=Budget(deadline=time.monotonic() - 1))
+    ctx = altered(ctx2, budget=Budget(deadline=time.monotonic() - 1))
     with pytest.raises(BudgetExceeded):
         verify_nonzero_ops(ctx)
 
@@ -352,7 +360,7 @@ def test_run_lemma_refuses_a_width_algebra_or_budget_outside_its_ctx(
 
 def test_k_collapse_builds_its_k_context_under_the_budget_of_the_ctx(
         ma2, ctx3, monkeypatch):
-    ctx = dataclasses.replace(ctx3, budget=Budget())
+    ctx = altered(ctx3, budget=Budget())
     builds = []
     real = witness.build_bn
 
