@@ -16,7 +16,7 @@ _EXPORTS = {"algebra": "Budget BudgetExceeded Congruence DEFAULT_BUDGET FiniteAl
                                "vector_evaluator witness_tuples",
             "subpower": "Subpower close_subpower op_image translation_maps",
             "tm": "Instruction RunOutcome TMError TuringMachine load_tm parse_tm run_bounded",
-            "witness": "LEMMA_ORDER LemmaReport kprime_collapse run_lemma "
+            "witness": "LEMMA_ORDER LemmaReport kprime_collapse run_lemma run_width "
                        "verify_atomicity verify_bn_structure verify_chain verify_depth "
                        "verify_f_characterization verify_nonzero_ops verify_omission_all "
                        "verify_support_growth"}

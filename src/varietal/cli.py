@@ -4,7 +4,8 @@ Subcommands: ``tm run``, ``algebra build``, ``bn build``, ``verify``,
 ``depth``, ``sd-meet``.  Each leaf parser names its handler with
 ``set_defaults(run=...)``, and `main` calls ``args.run(args, budget)``
 inside the one set of error handlers.  A handler imports the lemma suite
-(`witness`) or `lattice` itself, so a command loads only what it runs.
+(`witness`) or `lattice` itself, so a command loads only what it runs;
+``verify`` and ``depth`` run each width through `witness.run_width`.
 All structured output is JSON with ``"schema": 1``, sorted keys,
 two-space indent, and a trailing newline; identical arguments give
 byte-identical documents; verify only echoes --seed, as no check
@@ -215,29 +216,8 @@ def _cmd_bn_build(args, budget: Budget) -> int:
     return 0
 
 
-def _run_width(ma, n: int, lemmas, budget: Budget):
-    """All requested lemmas at one width, sharing one context.  When its
-    build runs out of budget, every plain lemma is skipped on that one
-    failure; k-collapse still runs on its own K-extended build."""
-    from .witness import KCOLLAPSE_MIN_N, run_lemma, skipped
-    reports, ctx, failed = [], None, None
-    for lemma in lemmas:
-        if lemma == "k-collapse":
-            if n >= KCOLLAPSE_MIN_N:
-                reports.append(run_lemma(lemma, ma, n, budget=budget))
-            continue
-        if ctx is None and failed is None:
-            try:
-                ctx = build_bn(ma, n, budget)
-            except BudgetExceeded as exc:
-                failed = exc
-        reports.append(skipped(lemma, n, failed) if failed else
-                       run_lemma(lemma, ma, n, budget=budget, ctx=ctx))
-    return reports
-
-
 def _cmd_verify(args, budget: Budget) -> int:
-    from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER
+    from .witness import KCOLLAPSE_MIN_N, LEMMA_ORDER, run_width
     if args.lemma == "k-collapse" and args.n[1] < KCOLLAPSE_MIN_N:
         print(f"error: k-collapse needs a width of {KCOLLAPSE_MIN_N} or more, "
               f"but --n stops at {args.n[1]}", file=sys.stderr)
@@ -246,7 +226,7 @@ def _cmd_verify(args, budget: Budget) -> int:
     ma = compile_machine(tm)
     lemmas = [args.lemma] if args.lemma else list(LEMMA_ORDER)
     reports = [r for n in range(args.n[0], args.n[1] + 1)
-               for r in _run_width(ma, n, lemmas, budget)]
+               for r in run_width(ma, n, lemmas, budget)]
     doc = {"schema": SCHEMA, "command": "verify", "tm": args.tm,
            "n_range": [args.n[0], args.n[1]], "seed": args.seed,
            "pass": all(r.status != "FAILED" for r in reports),
@@ -257,11 +237,11 @@ def _cmd_verify(args, budget: Budget) -> int:
 
 
 def _cmd_depth(args, budget: Budget) -> int:
-    from .witness import run_lemma
+    from .witness import run_width
     tm = load_tm(args.tm)
     ma = compile_machine(tm)
-    reports = [run_lemma("depth", ma, n, budget=budget)
-               for n in range(args.n[0], args.n[1] + 1)]
+    reports = [r for n in range(args.n[0], args.n[1] + 1)
+               for r in run_width(ma, n, ["depth"], budget)]
     depths = [r.witnesses[0]["depth"] if r.witnesses else None
               for r in reports]
     doc = {"schema": SCHEMA, "command": "depth", "tm": args.tm,

@@ -12,9 +12,10 @@ coordinates 2..i) appear in the closure, which `build_bn` (in
 this module) wraps in a `BnContext`.  Every verifier returns a
 LemmaReport carrying pass/fail, witnesses, counterexamples and its
 `pairs` count, and never raises on a falsified claim.  A verifier lets
-BudgetExceeded propagate: `run_lemma` alone builds the context, times
-the run, turns an exhausted budget into a SKIPPED report and fills the
-stats.  No verifier samples, so --seed changes no verdict.
+BudgetExceeded propagate.  `run_width` builds B_n once per algebra for
+a width's lemmas, and `run_lemma` alone times each run, turns an
+exhausted budget (the build's or the verifier's) into a SKIPPED report
+and fills the stats.  No verifier samples, so --seed changes no verdict.
 
 Verifier index (CLI lemma names):
   structure       four membership constraints on every closure element
@@ -83,14 +84,6 @@ class LemmaReport:
         if self.note:
             doc["note"] = self.note
         return doc
-
-
-def skipped(lemma: str, n: int, exc: BudgetExceeded) -> LemmaReport:
-    """The SKIPPED report of a lemma whose budget ran out, with the stats
-    of a lemma that had no universe to run on."""
-    return LemmaReport(lemma, n, passed=False, skipped=True,
-                       note=f"budget exhausted: {exc}",
-                       stats={"universe": 0, "pairs": 0, "seconds": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +427,52 @@ VERIFIERS = {"structure": "verify_bn_structure",
 LEMMA_ORDER = tuple(VERIFIERS)
 
 
-def run_lemma(lemma: str, ma: MachineAlgebra, n: int, *,
-              budget: Budget | None = None,
-              ctx: BnContext | None = None) -> LemmaReport:
-    """Run one named verifier at width n, on `ctx` or on a context built
-    here.  k-collapse runs on a `ctx` whose algebra has K, and otherwise
-    builds its own on the K-extended algebra of the same machine, compiled
-    once per `ma`.  A given `ctx` is the one scope of the run, k-collapse's
-    build included: an `n`, `ma` or `budget` not its own raises
-    ValueError.  The only place a lemma is timed, is skipped
-    when its budget runs out, and gets its stats."""
+def run_lemma(lemma: str, n: int,
+              ctx: BnContext | BudgetExceeded) -> LemmaReport:
+    """Run one named verifier at width n on `ctx`, or, when `ctx` is the
+    BudgetExceeded its build raised, skip it on that.  The only place a
+    lemma is timed, is skipped when its budget runs out, and gets its
+    stats; its seconds never include the B_n build."""
     if lemma not in VERIFIERS:
         raise ValueError(f"unknown lemma {lemma!r}")
-    if ctx is not None:
-        if n != ctx.n or ma is not ctx.algebra or \
-                (budget is not None and budget is not ctx.budget):
-            raise ValueError("n, ma and budget must be those of the ctx")
-        budget = ctx.budget
-    elif budget is None:
-        budget = DEFAULT_BUDGET
-    if lemma == "k-collapse" and (ctx is None or not ctx.algebra.with_k):
-        ma, ctx = (ma if ma.with_k else ma.k_extended), None
+    exc = ctx if isinstance(ctx, BudgetExceeded) else None
+    universe = 0 if exc else ctx.subpower.size
     t0 = time.monotonic()
-    try:
-        if ctx is None:
-            ctx = build_bn(ma, n, budget)
-        report = globals()[VERIFIERS[lemma]](ctx)
-    except BudgetExceeded as exc:
-        report = skipped(lemma, n, exc)
-    report.stats = {"universe": ctx.subpower.size if ctx else 0,
+    if exc is None:
+        try:
+            report = globals()[VERIFIERS[lemma]](ctx)
+        except BudgetExceeded as caught:
+            exc = caught
+    if exc is not None:
+        report = LemmaReport(lemma, n, passed=False, skipped=True,
+                             note=str(exc))
+    report.stats = {"universe": universe,
                     "pairs": report.stats.get("pairs", 0),
                     "seconds": time.monotonic() - t0}
     return report
+
+
+def run_width(ma: MachineAlgebra, n: int, lemmas,
+              budget: Budget = DEFAULT_BUDGET) -> list[LemmaReport]:
+    """The reports of `lemmas` at width n, in their order.  B_n is built
+    once per algebra: `ma`'s for the plain lemmas, and for k-collapse
+    `ma`'s own when it has K, else `ma.k_extended`'s.  k-collapse is
+    left out below width KCOLLAPSE_MIN_N.  A build that runs out of
+    budget is not retried: each lemma on it is skipped."""
+    for lemma in lemmas:
+        if lemma not in VERIFIERS:
+            raise ValueError(f"unknown lemma {lemma!r}")
+    ctxs, reports = {}, []
+    for lemma in lemmas:
+        alg = ma
+        if lemma == "k-collapse":
+            if n < KCOLLAPSE_MIN_N:
+                continue
+            alg = ma if ma.with_k else ma.k_extended
+        if alg.with_k not in ctxs:
+            try:
+                ctxs[alg.with_k] = build_bn(alg, n, budget)
+            except BudgetExceeded as exc:
+                ctxs[alg.with_k] = exc
+        reports.append(run_lemma(lemma, n, ctxs[alg.with_k]))
+    return reports

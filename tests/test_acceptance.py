@@ -25,7 +25,7 @@ from varietal.lattice import (
 from varietal.machine_algebra import compile_machine, vector_evaluator
 from varietal.witness import (
     build_bn,
-    run_lemma,
+    run_width,
     verify_atomicity,
     verify_bn_structure,
     verify_chain,
@@ -283,7 +283,7 @@ def test_criterion_11_depth_growth(ma2, ctx2, ctx3, ctx4):
         assert report.witnesses[0]["depth"] == ctx.n - 1
     # n=5 runs under its own 15 minute budget and may be skipped on it
     budget = Budget(deadline=time.monotonic() + 900.0)
-    report = run_lemma("depth", ma2, 5, budget=budget)
+    [report] = run_width(ma2, 5, ["depth"], budget)
     if report.skipped:
         report_line(11, "depth growth (n=5 SKIPPED)", t0)
         pytest.skip("n=5 exceeded its 15 minute budget; n<=4 passed")
@@ -296,7 +296,7 @@ def test_criterion_11_depth_growth(ma2, ctx2, ctx3, ctx4):
 def test_criterion_12_k_collapse(ma2_k):
     t0 = time.monotonic()
     for n in (3, 4):
-        report = run_lemma("k-collapse", ma2_k, n)
+        [report] = run_width(ma2_k, n, ["k-collapse"])
         assert report.status == "PASSED", (n, report.counterexamples)
         witness = report.witnesses[0]
         assert witness["depth"] == 1

@@ -276,7 +276,7 @@ def test_a_width_whose_build_runs_out_still_runs_k_collapse(tmp_path,
     assert len(doc["reports"]) == 26 and doc["skipped"] == 11
     assert builds.count((False, 4)) == 1 and builds.count((True, 4)) == 1
     k4 = doc["reports"][-1]
-    assert k4["note"] == "budget exhausted: budget exceeded: max_elements (26 > 20)"
+    assert k4["note"] == "budget exceeded: max_elements (26 > 20)"
     assert k4["stats"] == {"universe": 0, "pairs": 0, "seconds": 0.0}
 
 
@@ -284,9 +284,9 @@ def test_verify_charges_every_width_to_one_budget(tmp_path, monkeypatch):
     """VARIETAL_BUDGET_SECONDS caps the whole run, not each width."""
     budgets = []
 
-    def recording(lemma, ma, n, *, budget, ctx=None):
-        budgets.append(budget)
-        return real(lemma, ma, n, budget=budget, ctx=ctx)
+    def recording(lemma, n, ctx):
+        budgets.append(ctx.budget)
+        return real(lemma, n, ctx)
 
     real = witness.run_lemma
     monkeypatch.setattr(witness, "run_lemma", recording)
@@ -294,6 +294,28 @@ def test_verify_charges_every_width_to_one_budget(tmp_path, monkeypatch):
                  "--n", "2..4", "--out", str(tmp_path / "v.json")]) == 0
     assert len(budgets) == 3
     assert all(b is budgets[0] for b in budgets)
+
+
+@pytest.mark.parametrize("argv, reports", [
+    (["verify", "--n", "2..4", "--max-elements", "20"], 26),
+    (["depth", "--n", "2..3"], 2),
+], ids=["verify", "depth"])
+def test_every_report_comes_from_one_run_lemma_call(tmp_path, monkeypatch,
+                                                    argv, reports):
+    """A report skipped on a failed build passes through run_lemma too."""
+    calls = []
+
+    def recording(lemma, n, ctx):
+        calls.append((lemma, n))
+        return real(lemma, n, ctx)
+
+    real = witness.run_lemma
+    monkeypatch.setattr(witness, "run_lemma", recording)
+    out = tmp_path / "out.json"
+    main([*argv, "--tm", HALTING, "--out", str(out)])
+    doc = read_doc(out)
+    assert len(doc["reports"]) == reports
+    assert calls == [(r["lemma"], r["n"]) for r in doc["reports"]]
 
 
 def test_verify_seed_changes_nothing_but_its_echo(tmp_path):

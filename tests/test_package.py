@@ -25,9 +25,10 @@ HOMES = {
     "tm": ("Instruction", "RunOutcome", "TMError", "TuringMachine", "load_tm",
            "parse_tm", "run_bounded"),
     "witness": ("LEMMA_ORDER", "LemmaReport", "kprime_collapse", "run_lemma",
-                "verify_atomicity", "verify_bn_structure", "verify_chain",
-                "verify_depth", "verify_f_characterization", "verify_nonzero_ops",
-                "verify_omission_all", "verify_support_growth"),
+                "run_width", "verify_atomicity", "verify_bn_structure",
+                "verify_chain", "verify_depth", "verify_f_characterization",
+                "verify_nonzero_ops", "verify_omission_all",
+                "verify_support_growth"),
 }
 
 
@@ -75,10 +76,10 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
 
 
 def test_exports_resolve_to_their_home_objects():
-    """`__all__` is the package's 55 public names (the seven modules
+    """`__all__` is the package's 56 public names (the seven modules
     among them); each resolves to what its module binds."""
     exports = sorted([*HOMES, *(name for names in HOMES.values() for name in names)])
-    assert len(exports) == 55
+    assert len(exports) == 56
     assert varietal.__all__ == exports
     for home, names in HOMES.items():
         module = importlib.import_module(f"varietal.{home}")

@@ -19,7 +19,7 @@ from varietal.witness import (
     build_bn,
     kprime_collapse,
     run_lemma,
-    skipped,
+    run_width,
     verify_chain,
     verify_f_characterization,
     verify_nonzero_ops,
@@ -139,7 +139,7 @@ def test_support_growth_keeps_to_its_four_ops_beside_k(ma2_k, n, maps, pairs, ba
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lemma_passes(request, ma2, lemma, n):
     ctx = get_ctx(request, n)
-    report = run_lemma(lemma, ma2, n, ctx=ctx)
+    report = run_lemma(lemma, n, ctx)
     assert report.status == "PASSED", (lemma, n, report.counterexamples)
     assert report.lemma == lemma and report.n == n
     assert not report.counterexamples
@@ -147,10 +147,10 @@ def test_lemma_passes(request, ma2, lemma, n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_k_collapse_passes(ma2, ma2_k, n):
-    # run_lemma builds its own context on the K-extended algebra, from the
-    # plain algebra or from one already compiled with K
+    # run_width builds k-collapse's context on the K-extended algebra, from
+    # the plain algebra or from one already compiled with K
     for ma in (ma2, ma2_k):
-        report = run_lemma("k-collapse", ma, n)
+        [report] = run_width(ma, n, ["k-collapse"])
         assert report.status == "PASSED", report.counterexamples
         assert report.witnesses[0]["depth"] == 1
         assert report.stats["universe"] == {3: 18, 4: 54}[n]
@@ -303,7 +303,7 @@ def test_nonzero_ops_charges_each_value_grid(ma2):
     ctx = build_bn(ma2, 2, budget)
     for op in ctx.subpower.base.ops:
         op_image(ctx.subpower, op.symbol, budget)
-    report = run_lemma("nonzero-ops", ma2, 2, budget=budget, ctx=ctx)
+    report = run_lemma("nonzero-ops", 2, ctx)
     assert report.status == "SKIPPED"
     assert "max_elements" in report.note and "81 > 80" in report.note
     assert report.stats["universe"] == 6 and report.stats["pairs"] == 0
@@ -311,7 +311,7 @@ def test_nonzero_ops_charges_each_value_grid(ma2):
 
 def test_nonzero_ops_honours_an_expired_deadline(ctx2):
     ctx = altered(ctx2, budget=Budget(deadline=time.monotonic() - 1))
-    report = run_lemma("nonzero-ops", ctx.algebra, 2, ctx=ctx)
+    report = run_lemma("nonzero-ops", 2, ctx)
     assert report.status == "SKIPPED"
     assert "max_seconds" in report.note
 
@@ -323,15 +323,19 @@ def test_verifiers_let_an_exhausted_budget_propagate(ctx2):
 
 
 def test_run_lemma_skips_a_failed_build(ma2):
-    report = run_lemma("depth", ma2, 4, budget=Budget(max_elements=20))
-    assert report.to_json() == skipped("depth", 4, BudgetExceeded(
-        "max_elements", "28 > 20")).to_json()
-    assert report.to_json()["stats"] == {"universe": 0, "pairs": 0,
-                                         "seconds": 0.0}
+    budget = Budget(max_elements=20)
+    with pytest.raises(BudgetExceeded) as failed:
+        build_bn(ma2, 4, budget)
+    want = {"lemma": "depth", "n": 4, "pass": None, "status": "SKIPPED",
+            "witnesses": [], "counterexamples": [],
+            "note": "budget exceeded: max_elements (28 > 20)",
+            "stats": {"universe": 0, "pairs": 0, "seconds": 0.0}}
+    assert run_lemma("depth", 4, failed.value).to_json() == want
+    assert [r.to_json() for r in run_width(ma2, 4, ["depth"], budget)] == [want]
 
 
 def test_run_lemma_calls_the_verifier_bound_in_witness_when_called(
-        ma2, ctx2, monkeypatch):
+        ctx2, monkeypatch):
     """Verifiers are looked up by name at each call, so a patched (or a
     traced) binding is the one run_lemma runs; it fills the stats."""
     calls = []
@@ -341,52 +345,91 @@ def test_run_lemma_calls_the_verifier_bound_in_witness_when_called(
         return LemmaReport("depth", ctx.n, passed=True, stats={"pairs": 7})
 
     monkeypatch.setattr(witness, "verify_depth", fake)
-    report = run_lemma("depth", ma2, 2, ctx=ctx2)
+    report = run_lemma("depth", 2, ctx2)
     assert calls == [ctx2]
     assert report.stats["universe"] == 6 and report.stats["pairs"] == 7
     assert report.stats["seconds"] >= 0.0
 
 
-def test_run_lemma_refuses_a_width_algebra_or_budget_outside_its_ctx(
-        ma2, ma3, ctx2):
-    # a ctx is the run's one scope; an equal Budget that is another
-    # object is another budget
-    run_lemma("structure", ma2, 2, budget=ctx2.budget, ctx=ctx2)
-    for lemma in ("structure", "k-collapse"):
-        for n, ma, budget in ((3, ma2, None), (2, ma3, None), (2, ma2, Budget())):
-            with pytest.raises(ValueError, match="must be those of the ctx"):
-                run_lemma(lemma, ma, n, budget=budget, ctx=ctx2)
-
-
-def test_k_collapse_builds_its_k_context_under_the_budget_of_the_ctx(
-        ma2, ctx3, monkeypatch):
-    ctx = altered(ctx3, budget=Budget())
+def record_builds(monkeypatch, fail_plain=False):
+    """The (with_k, n, budget) of each build_bn call made through witness;
+    with fail_plain, each build on an algebra without K runs out."""
     builds = []
     real = witness.build_bn
 
     def recording(ma, n, budget):
         builds.append((ma.with_k, n, budget))
+        if fail_plain and not ma.with_k:
+            raise BudgetExceeded("max_elements", "forced")
         return real(ma, n, budget)
 
     monkeypatch.setattr(witness, "build_bn", recording)
-    assert run_lemma("k-collapse", ma2, 3, ctx=ctx).status == "PASSED"
-    assert builds == [(True, 3, ctx.budget)] and builds[0][2] is ctx.budget
-    ctx.budget.deadline = time.monotonic() - 1
-    report = run_lemma("k-collapse", ma2, 3, ctx=ctx)
+    return builds
+
+
+@pytest.mark.parametrize("n, builds_made, k_universe", [
+    (2, [(False, 2)], None), (3, [(False, 3), (True, 3)], 18)])
+def test_run_width_builds_each_algebra_once_in_order_of_first_use(
+        ma2, monkeypatch, n, builds_made, k_universe):
+    """k-collapse, and its K build, are left out below width 3."""
+    builds = record_builds(monkeypatch)
+    reports = run_width(ma2, n, LEMMA_ORDER)
+    plain = list(LEMMA_ORDER[:-1])
+    assert [r.lemma for r in reports] == plain + ["k-collapse"] * (n >= 3)
+    assert all(r.status == "PASSED" for r in reports)
+    assert [b[:2] for b in builds] == builds_made
+    assert [r.stats["universe"] for r in reports[len(plain):]] == \
+        [k_universe] * (n >= 3)
+
+
+def test_k_collapse_builds_its_k_context_under_the_width_budget(
+        ma2, monkeypatch):
+    builds = record_builds(monkeypatch)
+    budget = Budget()
+    [report] = run_width(ma2, 3, ["k-collapse"], budget)
+    assert report.status == "PASSED"
+    assert builds == [(True, 3, budget)] and builds[0][2] is budget
+    budget.deadline = time.monotonic() - 1
+    [report] = run_width(ma2, 3, ["k-collapse"], budget)
     assert report.status == "SKIPPED" and "max_seconds" in report.note
 
 
 def test_k_collapse_runs_on_a_k_context_it_is_given(ma2_k, kctx3, monkeypatch):
-    builds = []
-    real = witness.build_bn
-
-    def recording(ma, n, budget):
-        builds.append((ma.with_k, n))
-        return real(ma, n, budget)
-
-    monkeypatch.setattr(witness, "build_bn", recording)
-    report = run_lemma("k-collapse", ma2_k, 3, ctx=kctx3)
+    builds = record_builds(monkeypatch)
+    report = run_lemma("k-collapse", 3, kctx3)
     assert report.status == "PASSED" and report.stats["universe"] == kctx3.subpower.size
+    assert builds == []
+
+
+def test_run_width_on_an_algebra_with_k_builds_one_context(ma2_k, monkeypatch):
+    builds = record_builds(monkeypatch)
+    # with K, depth collapses, so the plain depth lemma fails on it
+    reports = run_width(ma2_k, 3, ["depth", "k-collapse"])
+    assert [r.status for r in reports] == ["FAILED", "PASSED"]
+    assert [r.stats["universe"] for r in reports] == [18, 18]
+    assert [b[:2] for b in builds] == [(True, 3)]
+    assert "k_extended" not in vars(ma2_k)
+
+
+def test_run_width_skips_the_plain_lemmas_of_a_failed_build(ma2, monkeypatch):
+    """The failed plain build is not retried, and k-collapse still runs on
+    its own K-extended build."""
+    builds = record_builds(monkeypatch, fail_plain=True)
+    reports = run_width(ma2, 3, LEMMA_ORDER)
+    assert [(r.lemma, r.status) for r in reports] == \
+        [(lemma, "SKIPPED") for lemma in LEMMA_ORDER[:-1]] + \
+        [("k-collapse", "PASSED")]
+    for r in reports[:-1]:
+        assert r.note == "budget exceeded: max_elements (forced)"
+        assert r.stats["universe"] == 0 and r.stats["pairs"] == 0
+    assert reports[-1].stats["universe"] == 18
+    assert [b[:2] for b in builds] == [(False, 3), (True, 3)]
+
+
+def test_run_width_rejects_an_unknown_lemma_before_any_build(ma2, monkeypatch):
+    builds = record_builds(monkeypatch)
+    with pytest.raises(ValueError, match="no-such-lemma"):
+        run_width(ma2, 3, ["structure", "no-such-lemma"])
     assert builds == []
 
 
@@ -442,6 +485,6 @@ def test_report_json_shape():
     assert doc["note"].startswith("budget exhausted")
 
 
-def test_run_lemma_rejects_unknown(ma2):
+def test_run_lemma_rejects_unknown(ctx2):
     with pytest.raises(ValueError):
-        run_lemma("no-such-lemma", ma2, 2)
+        run_lemma("no-such-lemma", 2, ctx2)
