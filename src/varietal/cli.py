@@ -207,7 +207,7 @@ def _cmd_bn_build(args, budget: Budget) -> int:
     for n in range(args.n[0], args.n[1] + 1):
         ctx = build_bn(ma, n, budget)
         rows.append({"n": n, "universe": ctx.subpower.size,
-                     "generators": 2 * n - 1,
+                     "generators": len(ctx.b) + len(ctx.d),
                      "alphabet": [ma.names[v] for v in
                                   ctx.subpower.coordinate_alphabet()]})
     doc = {"schema": SCHEMA, "command": "bn build", "tm": args.tm,

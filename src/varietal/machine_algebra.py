@@ -338,21 +338,21 @@ def compile_machine(machine: TuringMachine, with_k: bool = False) -> MachineAlge
 # are first built, so that compiling a machine loads none of their modules.
 
 class BnContext:
-    """The witness subpower plus named generators and derived tuples, with
-    its translation system and its pair walk from (a, 0), each built once."""
+    """A witness subpower (B_n, or a subalgebra of it such as omission's
+    C_k) with the named tuples of its width n, and its translation system
+    and its pair walk from (a, 0), each built once.  Everything but the
+    algebra, the subpower and the budget derives from them: n is the
+    subpower's width, b, d and c are `witness_tuples` at n, a = b_1, and
+    the generators of B_n are b_1..b_n then d_2..d_n."""
 
-    def __init__(self, n: int, algebra: MachineAlgebra, subpower: Subpower,
-                 a: tuple[int, ...], b: dict[int, tuple[int, ...]],
-                 d: dict[int, tuple[int, ...]], c: dict[int, tuple[int, ...]],
-                 zero_tuple: tuple[int, ...], budget: Budget):
-        self.n = n
+    def __init__(self, algebra: MachineAlgebra, subpower: Subpower,
+                 budget: Budget):
+        self.n = subpower.width
         self.algebra = algebra
         self.subpower = subpower
-        self.a = a
-        self.b = b
-        self.d = d
-        self.c = c
-        self.zero_tuple = zero_tuple
+        self.b, self.d, self.c = witness_tuples(algebra, self.n)
+        self.a = self.b[1]
+        self.zero_tuple = (0,) * self.n
         self.budget = budget
         self._system: TranslationSystem | None = None
         self._walk: PairDepthGraph | None = None
@@ -395,7 +395,8 @@ class BnContext:
 
 
 def witness_tuples(ma: MachineAlgebra, n: int):
-    """The generator and derived tuples, instantiated at width n."""
+    """The tuples b_1..b_n, d_2..d_n and c_1..c_n at width n, each a dict
+    keyed by its index (their shapes are in `witness`)."""
     dd = ma.idx("D")
     bd = ma.idx("bD")
     b = {i: (dd,) * i + (0,) * (n - i) for i in range(1, n + 1)}
@@ -414,14 +415,12 @@ def build_bn(ma: MachineAlgebra, n: int,
     if n < 2:
         raise ValueError("witness width must be at least 2")
     from .subpower import close_subpower
-    b, d, c = witness_tuples(ma, n)
-    gens = [b[i] for i in range(1, n + 1)] + [d[i] for i in range(2, n + 1)]
-    sp = close_subpower(ma.algebra, n, gens, budget)
-    ctx = BnContext(n=n, algebra=ma, subpower=sp, a=b[1], b=b, d=d, c=c,
-                    zero_tuple=(0,) * n, budget=budget)
+    b, d, _ = witness_tuples(ma, n)
+    ctx = BnContext(ma, close_subpower(ma.algebra, n, [*b.values(), *d.values()],
+                                       budget), budget)
     # sanity: the derived tuples really are in the closure
-    for raw in [c[i] for i in range(1, n + 1)] + [ctx.zero_tuple]:
-        if raw not in sp.index:
+    for raw in [*ctx.c.values(), ctx.zero_tuple]:
+        if raw not in ctx.subpower.index:
             raise ValueError(f"{ctx.render(raw)} missing from the closure")
     return ctx
 

@@ -9,9 +9,11 @@ is generated inside the n-th power by the tuples
 with a = b_1.  The derived tuples c_i = (0,D,...,D,0,...) (D at
 coordinates 2..i) appear in the closure, which `build_bn` (in
 `machine_algebra`, so that commands that run no lemma need not load
-this module) wraps in a `BnContext`.  Every verifier returns a
-LemmaReport carrying pass/fail, witnesses, counterexamples and its
-`pairs` count, and never raises on a falsified claim.  A verifier lets
+this module) wraps in a `BnContext`; omission wraps each subalgebra
+C_k it closes in one too, so each walk from (a, 0) is a context's.
+Every verifier returns a LemmaReport carrying pass/fail, witnesses,
+counterexamples and its `pairs` count, and never raises on a falsified
+claim.  A verifier lets
 BudgetExceeded propagate.  `run_width` builds B_n once per algebra for
 a width's lemmas, and `run_lemma` alone times each run, turns an
 exhausted budget (the build's or the verifier's) into a SKIPPED report
@@ -38,10 +40,9 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import Budget, BudgetExceeded, DEFAULT_BUDGET, TranslationStep
-from .depth import maltsev_depth, pair_depth_graph, principal_congruences, \
-    translation_system
+from .depth import maltsev_depth, principal_congruences, translation_system
 from .machine_algebra import BnContext, MachineAlgebra, build_bn, \
-    vector_evaluator, witness_tuples
+    vector_evaluator
 from .subpower import close_subpower, op_image
 
 NONZERO_OPS = ("meet", "J", "J'", "S2")
@@ -249,7 +250,8 @@ def verify_omission_all(ctx: BnContext) -> LemmaReport:
     subalgebra C in which the class of b_n under Cg^C(a,0) is trivial; in
     particular (b_n,c_n) is not in Cg^C(a,0).  Also checks
     J(b_n, d_k, b_n) = b_k, the fact that makes omitting b_k equivalent to
-    omitting d_k.  Witnesses and counterexamples are tagged with their k."""
+    omitting d_k.  Each C_k is wrapped in a `BnContext`, whose walk gives
+    Cg^C(a,0).  Witnesses and counterexamples are tagged with their k."""
     sp = ctx.subpower
     n = ctx.n
     bad = []
@@ -259,26 +261,24 @@ def verify_omission_all(ctx: BnContext) -> LemmaReport:
         if got != ctx.b[k]:
             bad.append({"k": k, "J(b_n,d_k,b_n)": ctx.render(got),
                         "expected": ctx.render(ctx.b[k])})
-        gens = [ctx.b[i] for i in range(1, n + 1)]
-        gens += [ctx.d[i] for i in range(2, n + 1) if i != k]
-        sub = close_subpower(sp.base, n, gens, ctx.budget)
-        if not set(sub.elements) < set(sp.elements):
+        gens = [*ctx.b.values(), *(t for i, t in ctx.d.items() if i != k)]
+        sub = BnContext(ctx.algebra, close_subpower(sp.base, n, gens, ctx.budget),
+                        ctx.budget)
+        if not set(sub.subpower.elements) < set(sp.elements):
             bad.append({"k": k, "closure": "not a proper subset"})
-        theta = pair_depth_graph(translation_system(sub, budget=ctx.budget),
-                                 sub.index[ctx.a], sub.index[ctx.zero_tuple],
-                                 budget=ctx.budget).congruence()
-        b_id = sub.index.get(ctx.b[n])
+        theta = sub.walk().congruence()
+        b_id = sub.subpower.index.get(ctx.b[n])
         if b_id is None:
             raise RuntimeError("b_n is a generator, must be present")
-        block = [e for e in theta.blocks() if b_id in e][0]
+        block = np.flatnonzero(theta.least == theta.least[b_id])
         if len(block) > 1:
-            bad.append({"k": k, "b_n_class": [ctx.render(sub.elements[e])
-                                              for e in block]})
-        c_id = sub.index.get(ctx.c[n])
+            bad.append({"k": k, "b_n_class": [sub.render_id(e)
+                                              for e in block.tolist()]})
+        c_id = sub.subpower.index.get(ctx.c[n])
         if c_id is not None and theta.relates(b_id, c_id):
             bad.append({"k": k, "related": "(b_n, c_n) in Cg^C(a,0)"})
         witnesses.append({"k": k, "details": [
-            {"omitted": ctx.render(ctx.d[k]), "closure_size": sub.size,
+            {"omitted": ctx.render(ctx.d[k]), "closure_size": sub.subpower.size,
              "full_size": sp.size},
             {"c_n_in_C": c_id is not None}]})
     return LemmaReport("omission", n, passed=not bad, witnesses=witnesses,
@@ -379,8 +379,7 @@ def kprime_collapse(ctx: BnContext) -> LemmaReport:
         if raw[i] != bar[b_n[i]]:
             bad.append({"coordinate": i + 1,
                         "b_prime": ctx.render(raw)})
-    barred_count = sum(1 for v in raw if bar[v] >= 0
-                       and ctx.algebra.elements[v].barred)
+    barred_count = sum(1 for v in raw if ctx.algebra.elements[v].barred)
     if barred_count < 2:
         bad.append({"structure_item_2_not_violated": ctx.render(raw)})
     before = len(bad)
@@ -398,11 +397,9 @@ def kprime_collapse(ctx: BnContext) -> LemmaReport:
     if images != [b_n, c_n]:
         bad.append({"lambda_per_coordinate": [ctx.render(v) for v in images]})
     # lambda maps {a, 0} onto {b_n, c_n}, a layer-1 pair of the pair walk
-    # from {a, 0}: its depth is 1 unless it is trivial or that source pair
-    if b_id == c_id or {b_id, c_id} == {ctx.a_id, ctx.zero_id}:
-        depth = 0
-    else:
-        depth = 1 if len(bad) == before else None
+    # from {a, 0}; that pair is neither trivial nor the source pair, since
+    # b_n(1) = D but c_n(1) = 0, and b_n != a for n >= 2
+    depth = 1 if len(bad) == before else None
     if depth != 1:
         bad.append({"depth": depth, "expected": 1})
     witnesses = [{"b_prime": ctx.render(raw),

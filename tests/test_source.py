@@ -62,6 +62,25 @@ def test_src_imports_only_the_standard_library_and_numpy():
     assert found == []
 
 
+def test_src_reads_every_name_it_imports():
+    """An import whose name the module never reads is dead code or a
+    re-export for some other caller; either way it is not the module's
+    own use.  The bound name of `import a.b` is `a`, and the
+    `from __future__` directive binds nothing."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+                 for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        found += [f"{path.name}:{line} {name}" for line, name in bound
+                  if name not in read]
+    assert found == []
+
+
 def test_readme_library_example_runs(monkeypatch):
     """The README's Library example is the documented API: it must run."""
     library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]

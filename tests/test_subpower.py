@@ -11,6 +11,7 @@ import oracles
 from varietal.algebra import (
     DEFAULT_BUDGET, Budget, BudgetExceeded, Operation, TranslationStep)
 from varietal import build_bn, compile_machine, subpower
+from varietal.machine_algebra import witness_tuples
 from varietal.subpower import (
     Subpower,
     _automaton,
@@ -21,7 +22,6 @@ from varietal.subpower import (
     op_image,
     translation_maps,
 )
-from varietal.witness import witness_tuples
 
 
 def generators_for(ma, n):

@@ -11,7 +11,8 @@ from varietal.algebra import Budget, BudgetExceeded, TranslationStep
 from varietal.cli import main
 from varietal.depth import maltsev_depth, pair_depth_graph, \
     translation_system
-from varietal.subpower import op_image
+from varietal.machine_algebra import BnContext, witness_tuples
+from varietal.subpower import close_subpower, op_image
 from varietal.witness import (
     LEMMA_ORDER,
     NONZERO_OPS,
@@ -25,7 +26,6 @@ from varietal.witness import (
     verify_nonzero_ops,
     verify_omission_all,
     verify_support_growth,
-    witness_tuples,
 )
 
 EXPECTED_SIZE = {2: 6, 3: 14, 4: 30, 5: 62, 6: 126}
@@ -192,7 +192,9 @@ def test_depth_values(request, n, depth):
 
 def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
     """atomic, chain, f-char and depth share one walk on B_4; omission's
-    walks on its subalgebras C are told apart by their smaller universes."""
+    walks on its subalgebras C are told apart by their smaller universes.
+    Every walk is made by `BnContext.walk`, which looks the walk up in
+    `depth` when it makes one."""
     walks = []
     real = pair_depth_graph
 
@@ -200,8 +202,7 @@ def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
         walks.append(system.table.shape[1])
         return real(system, *args, **kwargs)
 
-    for module in (witness, depth_module):
-        monkeypatch.setattr(module, "pair_depth_graph", walk)
+    monkeypatch.setattr(depth_module, "pair_depth_graph", walk)
     assert main(["verify", "--tm", HALTING, "--n", "4",
                  "--out", str(tmp_path / "v.json")]) == 0
     assert walks.count(EXPECTED_SIZE[4]) == 1
@@ -455,6 +456,23 @@ def test_omission_details(ctx3):
         sizes = w["details"][0]
         assert sizes["omitted"] == ctx3.render(ctx3.d[w["k"]])
         assert sizes["closure_size"] < sizes["full_size"] == 14
+
+
+def test_bn_context_wraps_an_omission_subalgebra(ctx3):
+    """C_2 of B_3, closed without d_2, wrapped as B_3 is: its context
+    derives n and the named tuples from its width, and its walk from
+    (a, 0) is the one built by hand from C_2's own translation system."""
+    sub = close_subpower(ctx3.subpower.base, 3, [*ctx3.b.values(), ctx3.d[3]])
+    c2 = BnContext(ctx3.algebra, sub, ctx3.budget)
+    assert c2.subpower is sub and sub.size < ctx3.subpower.size
+    assert (c2.n, c2.a, c2.zero_tuple) == (3, ctx3.a, ctx3.zero_tuple)
+    assert (c2.b, c2.d, c2.c) == (ctx3.b, ctx3.d, ctx3.c)
+    by_hand = pair_depth_graph(translation_system(sub), sub.index[ctx3.a],
+                               sub.index[ctx3.zero_tuple])
+    walk = c2.walk()
+    assert np.array_equal(walk.pairs, by_hand.pairs)
+    assert np.array_equal(walk.depth, by_hand.depth)
+    assert c2.walk() is walk
 
 
 def test_omission_fails_for_each_k_when_no_generator_is_dropped(ctx3,
