@@ -25,6 +25,11 @@ class BudgetExceeded(RuntimeError):
         self.what = what
         super().__init__(f"budget exceeded: {what}" + (f" ({detail})" if detail else ""))
 
+    @classmethod
+    def memory(cls, exc: MemoryError) -> "BudgetExceeded":
+        """A MemoryError as the exhausted budget named `memory`."""
+        return cls("memory", str(exc) or "MemoryError")
+
 
 class Budget:
     """Hard resource caps.  deadline is a time.monotonic() timestamp."""

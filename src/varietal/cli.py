@@ -12,9 +12,11 @@ byte-identical documents; verify only echoes --seed, as no check
 samples.  Timings are zeroed without --timings.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-parse error, 3 all passed but some were skipped on budget.  The
-environment variable VARIETAL_BUDGET_SECONDS imposes a global wall-clock
-cap; a value that is not a number, or is NaN, is a usage error.
+parse error (an unreadable machine or unwritable --out among them), 3
+all passed but some were skipped on budget (a MemoryError counts as the
+budget named ``memory``).  The environment variable
+VARIETAL_BUDGET_SECONDS imposes a global wall-clock cap; a value that is
+not a number, or is NaN, is a usage error.
 """
 
 from __future__ import annotations
@@ -307,11 +309,15 @@ def main(argv=None) -> int:
     budget = _budget(args, seconds)
     try:
         return args.run(args, budget)
-    except (TMError, FileNotFoundError) as exc:
+    except (TMError, OSError) as exc:
+        # a bad machine, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"budget exhausted: {BudgetExceeded.memory(exc)}", file=sys.stderr)
         return 3
 
 

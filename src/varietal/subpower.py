@@ -37,10 +37,15 @@ first-occurrence table of span entries, charged before it is allocated,
 keeps each code's least flat cell index (np.minimum.at).  The entries that
 were reached, sorted, are the first cells of the distinct signatures in
 first-reached order; only they are expanded back into rows.  Cells are
-coded in blocks of signature rows from `Budget.blocks`.  A translation
-image is coded by the alphabet positions of its values (capped only by
-int64), so np.searchsorted on the sorted elements' codes gives its
-element id.
+coded in blocks of signature rows from `Budget.blocks`.
+
+A translation row maps x to (F_1(x_1), ..., F_w(x_w)), F_c the letter map
+of its state at coordinate c.  Two rows give one map iff their F_c agree on
+V_c, the letters at coordinate c (where they differ at l, an element with
+x_c = l tells them apart), so the F_c on V_c are an exact key, not a hash:
+only the first row with each key is imaged.  An image is coded by the
+alphabet positions of its values (capped only by int64), so np.searchsorted
+on the sorted elements' codes gives its element id.
 
 Every integer array is as narrow as its range allows.  Automaton levels
 hold next-level state ids in the smallest unsigned dtype (uint8 in
@@ -353,24 +358,6 @@ def close_subpower(base: FiniteAlgebra, width: int,
     return Subpower(base=base, width=width, elements=tuple(sorted(known)))
 
 
-def _append_fresh(table: np.ndarray, buckets: dict, rows: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Append the distinct rows of `rows` that `table` lacks to it, in place
-    and in first-occurrence order; return their positions in `rows`.  buckets
-    maps a fingerprint row @ weights to the table rows having it."""
-    first = np.sort(np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
-                              return_index=True)[1])
-    cand, count, fresh = rows[first], len(table), []
-    for i, key in enumerate((cand @ weights).tolist()):
-        bucket, row = buckets.setdefault(key, []), cand[i].tobytes()
-        if not any(j < count and table[j].tobytes() == row for j in bucket):
-            bucket.append(count + len(fresh))
-            fresh.append(i)
-    table.resize((count + len(fresh), rows.shape[1]), refcheck=False)
-    table[count:] = cand[fresh]
-    return first[fresh]
-
-
 def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                      budget: Budget = DEFAULT_BUDGET
                      ) -> tuple[np.ndarray, list[TranslationStep]]:
@@ -380,10 +367,10 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     (uint8 up to 256 elements, uint16 up to 65536): widen before arithmetic.
 
     A translation fixes every argument of one operation except one with
-    constants drawn from the subpower.  Maps are deduped; the witness kept
-    for each map is the first in (operation order, position ascending,
-    constants lexicographic) order.  Constants in witnesses are subpower
-    element ids in position-ascending order.
+    constants drawn from the subpower.  Maps are deduped before imaging
+    (module docstring); the witness kept for each is the first in (operation
+    order, position ascending, constants lexicographic) order.  Constants in
+    witnesses are subpower element ids in position-ascending order.
     """
     wanted = None if symbols is None else set(symbols)
     n_elems, width = sp.size, sp.width
@@ -391,12 +378,13 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
     alphabet = np.asarray(letters, dtype=np.int64)
     elem_alpha, m = np.searchsorted(alphabet, np.asarray(sp.elements)), len(alphabet)
     cols = np.ascontiguousarray(elem_alpha.T)
+    # present[c, l]: letter l occurs at coordinate c
+    present = np.zeros((width, m), dtype=bool)
+    present[np.arange(width), elem_alpha] = True
+    value_dtype = np.min_scalar_type(sp.base.size - 1)
     table = np.zeros((0, n_elems), dtype=np.min_scalar_type(n_elems - 1))
-    buckets, steps = {}, []
+    seen, steps = set(), []
     swept: set[tuple] = set()
-    # fixed, well-mixed weights: a multiply-xorshift hash of the column
-    h = np.arange(1, n_elems + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    weights = ((h ^ (h >> np.uint64(29))) * np.uint64(0xBF58476D1CE4E5B9)).view(np.int64)
     for op in sp.base.ops:
         if op.arity == 0 or (wanted is not None and op.symbol not in wanted):
             continue
@@ -409,6 +397,16 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
             swept.add(aut.key)
             sigs, wits = _signatures(aut.levels[:-1], elem_alpha, budget)
             final = aut.levels[-1]
+            # a row's key: the value each coordinate gives each letter
+            # occurring there; equal keys iff equal maps
+            keys = aut.values.astype(value_dtype)[final][sigs][:, present]
+            fresh = []
+            for i, key in enumerate(map(bytes, keys)):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            budget.check_signatures(len(seen))
+            sigs, wits = sigs[fresh], wits[fresh]
             # image values by alphabet position, m for one outside it; the
             # elements are coded first, so they share the ranks
             pos = np.searchsorted(alphabet, aut.values)
@@ -418,6 +416,8 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                                                 _blocks(pos[final], sigs, cols, budget)),
                                   width, m + 1, budget)
             elem_codes = next(coded)[1]
+            count = len(table)
+            table.resize((len(seen), n_elems), refcheck=False)
             for lo, img in coded:
                 ids = np.minimum(np.searchsorted(elem_codes, img), n_elems - 1)
                 escaped = np.flatnonzero(elem_codes[ids] != img)
@@ -426,8 +426,6 @@ def translation_maps(sp: Subpower, symbols: Iterable[str] | None = None,
                     t = tuple(aut.values[final[sigs[lo + s], elem_alpha[e]]].tolist())
                     raise ValueError(f"translation image {t} of {op.symbol} "
                                      "escapes the subuniverse")
-                fresh = _append_fresh(table, buckets, ids.astype(table.dtype), weights)
-                steps += [TranslationStep(op.symbol, posn, tuple(w))
-                          for w in wits[lo + fresh].tolist()]
-                budget.check_signatures(len(table))
+                table[count + lo:count + lo + len(ids)] = ids
+            steps += [TranslationStep(op.symbol, posn, tuple(w)) for w in wits.tolist()]
     return table, steps

@@ -220,6 +220,10 @@ def parse_tm(text: str) -> TuringMachine:
 
 
 def load_tm(path) -> TuringMachine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tm(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TMError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return parse_tm(text)
 

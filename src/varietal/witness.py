@@ -16,8 +16,9 @@ counterexamples and its `pairs` count, and never raises on a falsified
 claim.  A verifier lets
 BudgetExceeded propagate.  `run_width` builds B_n once per algebra for
 a width's lemmas, and `run_lemma` alone times each run, turns an
-exhausted budget (the build's or the verifier's) into a SKIPPED report
-and fills the stats.  No verifier samples, so --seed changes no verdict.
+exhausted budget (the build's or the verifier's, a MemoryError as the
+budget named `memory`) into a SKIPPED report and fills the stats.  No
+verifier samples, so --seed changes no verdict.
 
 Verifier index (CLI lemma names):
   structure       four membership constraints on every closure element
@@ -428,8 +429,8 @@ def run_lemma(lemma: str, n: int,
               ctx: BnContext | BudgetExceeded) -> LemmaReport:
     """Run one named verifier at width n on `ctx`, or, when `ctx` is the
     BudgetExceeded its build raised, skip it on that.  The only place a
-    lemma is timed, is skipped when its budget runs out, and gets its
-    stats; its seconds never include the B_n build."""
+    lemma is timed, is skipped when its budget or memory runs out, and
+    gets its stats; its seconds never include the B_n build."""
     if lemma not in VERIFIERS:
         raise ValueError(f"unknown lemma {lemma!r}")
     exc = ctx if isinstance(ctx, BudgetExceeded) else None
@@ -440,6 +441,8 @@ def run_lemma(lemma: str, n: int,
             report = globals()[VERIFIERS[lemma]](ctx)
         except BudgetExceeded as caught:
             exc = caught
+        except MemoryError as caught:
+            exc = BudgetExceeded.memory(caught)
     if exc is not None:
         report = LemmaReport(lemma, n, passed=False, skipped=True,
                              note=str(exc))
@@ -455,7 +458,7 @@ def run_width(ma: MachineAlgebra, n: int, lemmas,
     once per algebra: `ma`'s for the plain lemmas, and for k-collapse
     `ma`'s own when it has K, else `ma.k_extended`'s.  k-collapse is
     left out below width KCOLLAPSE_MIN_N.  A build that runs out of
-    budget is not retried: each lemma on it is skipped."""
+    budget or memory is not retried: each lemma on it is skipped."""
     for lemma in lemmas:
         if lemma not in VERIFIERS:
             raise ValueError(f"unknown lemma {lemma!r}")
@@ -471,5 +474,7 @@ def run_width(ma: MachineAlgebra, n: int, lemmas,
                 ctxs[alg.with_k] = build_bn(alg, n, budget)
             except BudgetExceeded as exc:
                 ctxs[alg.with_k] = exc
+            except MemoryError as exc:
+                ctxs[alg.with_k] = BudgetExceeded.memory(exc)
         reports.append(run_lemma(lemma, n, ctxs[alg.with_k]))
     return reports

@@ -1,10 +1,11 @@
-"""Independent oracles for closure, congruence generation, and
-translation enumeration.
+"""Independent oracles for closure, congruence generation, translation
+enumeration and projection kernels.
 
 None of these share algorithms with the package: closure enumerates full
 argument grids (no prefix-signature dedup), congruence generation uses
-bucket refinement over block patterns (no translation BFS), and the
-translation oracle enumerates constant tuples directly.
+bucket refinement over block patterns (no translation BFS), the
+translation oracle reads each constant tuple's map off dense operation
+tables, and the kernels group elements on their coordinates.
 """
 
 from itertools import product
@@ -156,22 +157,33 @@ def naive_congruences(size: int, op_values: list[np.ndarray]
 
 def subpower_op_values(sp) -> list[np.ndarray]:
     """Dense per-operation value arrays over subpower element ids,
-    computed coordinatewise (no automata)."""
+    computed coordinatewise (no automata).  Each image is looked up among
+    the elements by its radix code; one outside the subpower raises
+    KeyError."""
     arr = np.asarray(sp.elements, dtype=np.int64)
-    m = len(sp.elements)
-    width = arr.shape[1]
+    m, width = arr.shape
+
+    def code(columns):
+        out = np.zeros(len(columns[0]), dtype=np.int64)
+        for col in columns:
+            out = out * sp.base.size + col
+        return out
+
+    codes = code(arr.T)
+    order = np.argsort(codes)
     out_tables = []
     for op in sp.base.ops:
         k = op.arity
         if k == 0:
             continue
         grids = np.indices((m,) * k).reshape(k, -1)
-        out = np.empty((grids.shape[1], width), dtype=np.int64)
-        for c in range(width):
-            cols = [arr[g, c] for g in grids]
-            out[:, c] = columnwise(op.func, cols, sp.base.size)
-        ids = np.asarray([sp.index[tuple(int(v) for v in row)]
-                          for row in out], dtype=np.int64)
+        out = code([columnwise(op.func, [arr[g, c] for g in grids], sp.base.size)
+                    for c in range(width)])
+        ids = order[np.minimum(np.searchsorted(codes, out, sorter=order), m - 1)]
+        escaped = np.flatnonzero(codes[ids] != out)
+        if len(escaped):
+            raise KeyError(f"{op.symbol} at argument tuple {escaped[0]} "
+                           "escapes the subpower")
         out_tables.append(ids.reshape((m,) * k))
     return out_tables
 
@@ -208,24 +220,28 @@ def naive_translation_maps(alg) -> set[tuple[int, ...]]:
 
 
 def subpower_translation_maps(sp, symbols=None) -> set[tuple[int, ...]]:
-    """Translation maps of the induced algebra, enumerated coordinatewise
-    over raw tuples (no automata, no signature pruning)."""
-    arr = np.asarray(sp.elements, dtype=np.int64)
-    m = len(sp.elements)
-    width = arr.shape[1]
+    """Translation maps of the induced algebra: for every operation and
+    argument position, the row of its dense table (`subpower_op_values`)
+    along that position at each constant tuple (no automata, no signature
+    pruning)."""
+    ops = [op for op in sp.base.ops if op.arity]
     maps = set()
-    for op in sp.base.ops:
-        k = op.arity
-        if k == 0 or (symbols is not None and op.symbol not in symbols):
-            continue
-        for pos in range(k):
-            for consts in product(range(m), repeat=k - 1):
-                images = []
-                for x in range(m):
-                    ids = list(consts[:pos]) + [x] + list(consts[pos:])
-                    val = tuple(
-                        op.func(*(int(arr[i, c]) for i in ids))
-                        for c in range(width))
-                    images.append(sp.index[val])
-                maps.add(tuple(images))
+    for op, values in zip(ops, subpower_op_values(sp)):
+        if symbols is None or op.symbol in symbols:
+            for pos in range(op.arity):
+                maps.update(map(tuple, np.moveaxis(values, pos, -1)
+                                .reshape(-1, sp.size).tolist()))
     return maps
+
+
+def projection_kernels(sp) -> list[tuple[int, ...]]:
+    """The kernels of the projections of the subpower onto each set S of
+    coordinates, as sorted distinct least forms: x and y are related iff
+    they agree on every coordinate in S."""
+    forms = set()
+    for mask in range(2 ** sp.width):
+        keep = [c for c in range(sp.width) if mask >> c & 1]
+        least = {}
+        forms.add(tuple(least.setdefault(tuple(t[c] for c in keep), i)
+                        for i, t in enumerate(sp.elements)))
+    return sorted(forms)

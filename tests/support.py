@@ -10,7 +10,8 @@ import numpy as np
 from varietal.algebra import Congruence, FiniteAlgebra, Operation, _generated, \
     _meets
 from varietal.lattice import Lattice
-from varietal.machine_algebra import MachineAlgebra, vector_evaluator
+from varietal.machine_algebra import BnContext, MachineAlgebra, vector_evaluator
+from varietal.subpower import Subpower, close_subpower
 from varietal.tm import Instruction, TuringMachine
 
 
@@ -50,6 +51,12 @@ def machine(states: Iterable[str], quintuples: Iterable[tuple]) -> TuringMachine
         Instruction(idx[s], r, w, d, idx[n]) for (s, r, w, d, n) in quintuples
     )
     return TuringMachine(states=names, instructions=ins)
+
+
+def omission_subpower(ctx: BnContext, k: int) -> Subpower:
+    """C_k: the subalgebra of B_n that the generators without d_k close."""
+    gens = [*ctx.b.values(), *(t for i, t in ctx.d.items() if i != k)]
+    return close_subpower(ctx.subpower.base, ctx.n, gens)
 
 
 def from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> Congruence:

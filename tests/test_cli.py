@@ -91,6 +91,35 @@ def test_tm_run_parse_error(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+# commands that read a machine file, each cut where the path goes
+MACHINE_READERS = [["tm", "run"], ["verify", "--n", "2", "--tm"], ["sd-meet", "--tm"]]
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", MACHINE_READERS, ids=" ".join)
+def test_an_unreadable_machine_is_a_usage_error(command, kind, tmp_path, capsys):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "bytes.tm"
+        path.write_bytes(b"states: halt start\nstart 0 -> 1 R \xff\xfe\n")
+    assert main([*command, str(path)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", MACHINE_READERS, ids=" ".join)
+def test_an_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
+    argv = [*command, HALTING] + ["--lemma", "structure"] * (command[0] == "verify")
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert main([*argv, "--out", str(tmp_path / "missing" / "doc.json")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_usage_errors(capsys):
     # argparse refuses a command line that stops before a leaf command
     for argv in ([], ["tm"], ["algebra"], ["bn"]):
@@ -400,6 +429,67 @@ def test_tiny_memory_budget_exits_3_naming_its_cap(argv, capsys):
     assert main([*argv, "--tm", HALTING]) == 3
     out, err = capsys.readouterr()
     assert argv[-2][2:].replace("-", "_") in out + err
+
+
+def raising(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("target", ["verify_depth", "build_bn"])
+def test_a_memory_error_in_a_build_or_a_verifier_is_a_budget_skip(
+        target, monkeypatch, tmp_path):
+    monkeypatch.setattr(witness, target,
+                        raising(MemoryError("Unable to allocate 1.00 TiB")))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--tm", HALTING, "--n", "2..3", "--lemma", "depth",
+                 "--out", str(out)]) == 3
+    reports = read_doc(out)["reports"]
+    assert [r["status"] for r in reports] == ["SKIPPED", "SKIPPED"]
+    for r in reports:
+        assert r["note"] == "budget exceeded: memory (Unable to allocate 1.00 TiB)"
+
+
+def test_a_memory_error_outside_the_lemma_harness_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_bn",
+                        raising(MemoryError("Unable to allocate 1.00 TiB")))
+    assert main(["bn", "build", "--tm", HALTING, "--n", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "budget exhausted: budget exceeded: memory (Unable to allocate 1.00 TiB)\n"
+    # a MemoryError without a message is named by its type
+    monkeypatch.setattr(cli, "build_bn", raising(MemoryError()))
+    assert main(["bn", "build", "--tm", HALTING, "--n", "2"]) == 3
+    assert capsys.readouterr().err == \
+        "budget exhausted: budget exceeded: memory (MemoryError)\n"
+
+
+def test_depth_out_of_address_space_exits_3_with_a_skip():
+    """An RLIMIT_AS set in the child alone, 64 MB above what its imports
+    take, is too small for B_9: its report is SKIPPED on the budget named
+    memory, and the exit code is 3, not a traceback and 1."""
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("the limit is sized from the child's VmSize")
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy, varietal.cli, varietal.witness\n"
+         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+         "           if line.startswith('VmSize:')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    limit = (int(probe.stdout) << 10) + (64 << 20)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = subprocess.run([sys.executable, "-m", "varietal.cli", "depth",
+                          "--tm", HALTING, "--n", "9"], env=env, preexec_fn=cap,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 3 and b"Traceback" not in run.stderr
+    [report] = json.loads(run.stdout)["reports"]
+    assert report["status"] == "SKIPPED"
+    assert report["note"].startswith("budget exceeded: memory (")
 
 
 def test_verify_has_no_with_k_option(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from support import equiv_join, equiv_meet, lattice_join, lattice_meet, \
     spanning_pairs, table_op
-from varietal import lattice
+from varietal import build_bn, compile_machine, lattice
 from varietal.algebra import Budget, BudgetExceeded, FiniteAlgebra
 from varietal.depth import principal_congruences, translation_system
 from varietal.lattice import (
@@ -29,6 +29,20 @@ def con_b2(ctx2):
 @pytest.fixture(scope="module")
 def con_b3(ctx3):
     return congruence_lattice(ctx3.system())
+
+
+@pytest.mark.parametrize("fixture, n", [("halting", n) for n in range(2, 6)]
+                         + [("looping", n) for n in range(2, 5)])
+def test_con_bn_is_the_projection_kernels(fixture, n, halting_tm, looping_tm):
+    """Con(B_n) is the 2^n kernels ker pi_S, S a set of coordinates, all
+    distinct; the oracle groups elements on S and shares no code with the
+    package."""
+    tm = {"halting": halting_tm, "looping": looping_tm}[fixture]
+    ctx = build_bn(compile_machine(tm), n)
+    kernels = oracles.projection_kernels(ctx.subpower)
+    assert len(kernels) == 2 ** n
+    assert [tuple(c.least.tolist()) for c in congruence_lattice(ctx.system())] \
+        == kernels
 
 
 def test_con_b2_contents(ctx2, con_b2):

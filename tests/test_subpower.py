@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from support import omission_subpower
 from varietal.algebra import (
     DEFAULT_BUDGET, Budget, BudgetExceeded, Operation, TranslationStep)
 from varietal import build_bn, compile_machine, subpower
@@ -134,13 +135,16 @@ def map_rows(table):
     return [tuple(row) for row in table.tolist()]
 
 
-def test_translation_maps_match_oracle_full(ctx2):
-    sp = ctx2.subpower
-    table, steps = translation_maps(sp)
-    assert table.dtype == np.min_scalar_type(sp.size - 1) and table.flags.c_contiguous
-    assert table.shape == (len(steps), sp.size)
-    assert len(set(map_rows(table))) == len(steps)
-    assert set(map_rows(table)) == oracles.subpower_translation_maps(sp)
+def test_translation_maps_match_oracle_full(ctx2, ctx3, looping_tm):
+    # B_2, omission's C_2 and C_3 of B_3, and looping's B_3: subpowers
+    # whose coordinates have different letter sets
+    for sp in (ctx2.subpower, omission_subpower(ctx3, 2), omission_subpower(ctx3, 3),
+               build_bn(compile_machine(looping_tm), 3).subpower):
+        table, steps = translation_maps(sp)
+        assert table.dtype == np.min_scalar_type(sp.size - 1) and table.flags.c_contiguous
+        assert table.shape == (len(steps), sp.size)
+        assert len(set(map_rows(table))) == len(steps)
+        assert set(map_rows(table)) == oracles.subpower_translation_maps(sp)
 
 
 def test_translation_maps_match_oracle_low_arity(ctx3):
@@ -352,15 +356,18 @@ def test_translation_image_escaping_a_non_closed_set_is_named(ma2):
 
 
 @pytest.fixture(scope="module", params=["halting", "halting-k", "three-state",
-                                        "four-state"])
+                                        "four-state", "halting C_2"])
 def b2(request, ctx2, ma2_k, ma3, four_state_tm):
     """B_2 subpowers whose translation passes skip coinciding automata; the
-    machines with R moves have more operations that can coincide."""
-    return {"halting": lambda: ctx2,
-            "halting-k": lambda: build_bn(ma2_k, 2),
-            "three-state": lambda: build_bn(ma3, 2),
-            "four-state": lambda: build_bn(compile_machine(four_state_tm), 2),
-            }[request.param]().subpower
+    machines with R moves have more operations that can coincide.  B_2's
+    coordinates have different letter sets ({0, D} and {0, D, bD}); its
+    subalgebra C_2, which omission closes without d_2, has no bD."""
+    return {"halting": lambda: ctx2.subpower,
+            "halting-k": lambda: build_bn(ma2_k, 2).subpower,
+            "three-state": lambda: build_bn(ma3, 2).subpower,
+            "four-state": lambda: build_bn(compile_machine(four_state_tm), 2).subpower,
+            "halting C_2": lambda: omission_subpower(ctx2, 2),
+            }[request.param]()
 
 
 def test_translation_witnesses_are_the_first_in_canonical_order(b2):
