@@ -17,11 +17,17 @@ all passed but some were skipped on budget (a MemoryError counts as the
 budget named ``memory``).  The environment variable
 VARIETAL_BUDGET_SECONDS imposes a global wall-clock cap; a value that is
 not a number, or is NaN, is a usage error.
+
+`run` is the process entry point (``python -m varietal.cli`` and the
+installed ``varietal`` script); `main` returns its exit code and never
+exits, for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
 import json
 import math
 import os
@@ -93,6 +99,16 @@ def _emit(doc: dict, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Raise the OSError that writing `out` would, for a directory or a
+    missing parent directory, before the run rather than after it.  The
+    file itself is created only when its document is ready."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 def _exit_code(reports) -> int:
@@ -308,6 +324,8 @@ def main(argv=None) -> int:
         return 2
     budget = _budget(args, seconds)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.run(args, budget)
     except (TMError, OSError) as exc:
         # a bad machine, or a path that cannot be read or written
@@ -321,5 +339,27 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """Run `main` on the command line and end the process with its exit
+    code once the output is out.  atexit handlers run, then both streams
+    are flushed (the order of interpreter shutdown), and `os._exit` skips
+    the rest of the shutdown: module teardown and the final garbage
+    collection.  Under a tracer or profiler (``-m cProfile``, coverage,
+    ``-m trace``), which reports at exit, and when a flush fails (a
+    closed pipe), the process exits as usual."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+    if sys.gettrace() is not None or sys.getprofile() is not None or \
+            (monitoring and any(monitoring.get_tool(i) for i in range(6))):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

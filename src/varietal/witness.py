@@ -9,8 +9,9 @@ is generated inside the n-th power by the tuples
 with a = b_1.  The derived tuples c_i = (0,D,...,D,0,...) (D at
 coordinates 2..i) appear in the closure, which `build_bn` (in
 `machine_algebra`, so that commands that run no lemma need not load
-this module) wraps in a `BnContext`; omission wraps each subalgebra
-C_k it closes in one too, so each walk from (a, 0) is a context's.
+this module) wraps in a `BnContext`; omission wraps a subalgebra C_k
+in one too when b_n's class in a projection kernel does not decide the
+lemma, so each walk from (a, 0) is a context's.
 Every verifier returns a LemmaReport carrying pass/fail, witnesses,
 counterexamples and its `pairs` count, and never raises on a falsified
 claim.  A verifier lets
@@ -251,35 +252,41 @@ def verify_omission_all(ctx: BnContext) -> LemmaReport:
     subalgebra C in which the class of b_n under Cg^C(a,0) is trivial; in
     particular (b_n,c_n) is not in Cg^C(a,0).  Also checks
     J(b_n, d_k, b_n) = b_k, the fact that makes omitting b_k equivalent to
-    omitting d_k.  Each C_k is wrapped in a `BnContext`, whose walk gives
-    Cg^C(a,0).  Witnesses and counterexamples are tagged with their k."""
+    omitting d_k.  Operations act coordinatewise, so the projection onto
+    coordinates 2..n is a homomorphism; a and 0 agree there, so Cg^C(a,0)
+    lies in its kernel.  When b_n's kernel class in C is {b_n} alone, that
+    decides the lemma for k; otherwise C is wrapped in a `BnContext`, whose
+    walk gives Cg^C(a,0).  Witnesses and counterexamples are tagged with
+    their k."""
     sp = ctx.subpower
     n = ctx.n
+    bn = ctx.b[n]
     bad = []
     witnesses = []
     for k in range(2, n + 1):
-        got = sp.eval_tuple("J", (ctx.b[n], ctx.d[k], ctx.b[n]))
+        got = sp.eval_tuple("J", (bn, ctx.d[k], bn))
         if got != ctx.b[k]:
             bad.append({"k": k, "J(b_n,d_k,b_n)": ctx.render(got),
                         "expected": ctx.render(ctx.b[k])})
         gens = [*ctx.b.values(), *(t for i, t in ctx.d.items() if i != k)]
-        sub = BnContext(ctx.algebra, close_subpower(sp.base, n, gens, ctx.budget),
-                        ctx.budget)
-        if not set(sub.subpower.elements) < set(sp.elements):
+        closed = close_subpower(sp.base, n, gens, ctx.budget)
+        if not set(closed.elements) < set(sp.elements):
             bad.append({"k": k, "closure": "not a proper subset"})
-        theta = sub.walk().congruence()
-        b_id = sub.subpower.index.get(ctx.b[n])
+        b_id = closed.index.get(bn)
         if b_id is None:
             raise RuntimeError("b_n is a generator, must be present")
-        block = np.flatnonzero(theta.least == theta.least[b_id])
-        if len(block) > 1:
-            bad.append({"k": k, "b_n_class": [sub.render_id(e)
-                                              for e in block.tolist()]})
-        c_id = sub.subpower.index.get(ctx.c[n])
-        if c_id is not None and theta.relates(b_id, c_id):
-            bad.append({"k": k, "related": "(b_n, c_n) in Cg^C(a,0)"})
+        c_id = closed.index.get(ctx.c[n])
+        if [t for t in closed.elements if t[1:] == bn[1:]] != [bn]:
+            sub = BnContext(ctx.algebra, closed, ctx.budget)
+            theta = sub.walk().congruence()
+            block = np.flatnonzero(theta.least == theta.least[b_id])
+            if len(block) > 1:
+                bad.append({"k": k, "b_n_class": [sub.render_id(e)
+                                                  for e in block.tolist()]})
+            if c_id is not None and theta.relates(b_id, c_id):
+                bad.append({"k": k, "related": "(b_n, c_n) in Cg^C(a,0)"})
         witnesses.append({"k": k, "details": [
-            {"omitted": ctx.render(ctx.d[k]), "closure_size": sub.subpower.size,
+            {"omitted": ctx.render(ctx.d[k]), "closure_size": closed.size,
              "full_size": sp.size},
             {"c_n_in_C": c_id is not None}]})
     return LemmaReport("omission", n, passed=not bad, witnesses=witnesses,

@@ -120,6 +120,30 @@ def test_an_unwritable_out_is_a_usage_error(command, tmp_path, capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [["depth"], ["bn", "build"], ["sd-meet"]],
+                         ids=" ".join)
+def test_an_unwritable_out_fails_before_the_run(command, tmp_path, monkeypatch,
+                                                capsys):
+    """The --out path is checked before any width is built, and a run that
+    stops early leaves an existing --out file as it was."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a width was built before --out was checked")
+
+    monkeypatch.setattr(cli, "build_bn", unreachable)
+    monkeypatch.setattr(witness, "build_bn", unreachable)
+    argv = [*command, "--tm", HALTING, "--n", "2..8", "--out"]
+    for out in (tmp_path, tmp_path / "missing" / "doc.json"):
+        assert main([*argv, str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    monkeypatch.setenv("VARIETAL_BUDGET_SECONDS", "0")
+    assert main(["sd-meet", "--tm", HALTING, "--n", "2", "--out", str(kept)]) == 3
+    assert kept.read_text() == "old"
+
+
 def test_usage_errors(capsys):
     # argparse refuses a command line that stops before a leaf command
     for argv in ([], ["tm"], ["algebra"], ["bn"]):
@@ -490,6 +514,101 @@ def test_depth_out_of_address_space_exits_3_with_a_skip():
     [report] = json.loads(run.stdout)["reports"]
     assert report["status"] == "SKIPPED"
     assert report["note"].startswith("budget exceeded: memory (")
+
+
+# -- the process entry point ---------------------------------------------------
+
+def buffered_env():
+    """A child environment in which stdout is block-buffered when it is a
+    pipe (PYTHONUNBUFFERED unset), so output never flushed is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    return env
+
+
+def run_cli(argv, *flags, **kwargs):
+    """`python [flags] -m varietal.cli argv` under `buffered_env`."""
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *flags, "-m", "varietal.cli", *argv],
+                          env=buffered_env(), timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "2..3"],
+                                  ["bn", "build", "--n", "2..3"]], ids=" ".join)
+def test_piped_stdout_is_main_s_output(argv, capsys):
+    """verify's document overflows the stdout buffer as it is written;
+    bn build's stays in it until `run` flushes it."""
+    argv = [*argv, "--tm", HALTING]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    run = run_cli(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (0, expected, b"")
+
+
+def test_an_out_file_is_complete(tmp_path):
+    argv = ["depth", "--tm", HALTING, "--n", "2..4", "--out"]
+    assert main([*argv, str(tmp_path / "main.json")]) == 0
+    run = run_cli([*argv, str(tmp_path / "run.json")])
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+    assert (tmp_path / "run.json").read_bytes() == \
+        (tmp_path / "main.json").read_bytes()
+
+
+def test_a_profiled_command_prints_its_profile():
+    """cProfile prints its table at exit, after the command's output."""
+    run = run_cli(["algebra", "build", "--tm", HALTING], "-m", "cProfile")
+    assert run.returncode == 0, run.stderr
+    doc, table = run.stdout.decode().split("\n}\n", 1)
+    assert json.loads(doc + "}")["command"] == "algebra build"
+    assert "function calls" in table and "Ordered by" in table
+
+
+def test_run_exits_as_usual_under_a_monitoring_tool(monkeypatch):
+    """From Python 3.12 cProfile registers as a `sys.monitoring` tool and
+    sets no profile function, so `run` looks there too."""
+    class Monitoring:
+        @staticmethod
+        def get_tool(tool_id):
+            return "cProfile" if tool_id == 2 else None
+
+    monkeypatch.setattr(sys, "monitoring", Monitoring, raising=False)
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3
+
+
+def test_atexit_handlers_run_and_teardown_is_skipped():
+    """`run` runs the atexit handlers, flushes what they print, and ends
+    the process without tearing the interpreter down: an object of
+    `__main__` is never finalized."""
+    code = ("import atexit, os, runpy, sys\n"
+            "class Teardown:\n"
+            "    def __del__(self):\n"
+            "        os.write(2, b'teardown\\n')\n"
+            "marker = Teardown()\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv = ['varietal', 'tm', 'run', sys.argv[1]]\n"
+            "runpy.run_module('varietal.cli', run_name='__main__')\n")
+    run = subprocess.run([sys.executable, "-c", code, HALTING],
+                         env=buffered_env(), capture_output=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == \
+        (0, b"HALTED(1)\natexit ran\n", b"")
+
+
+def test_a_closed_stdout_exits_as_the_interpreter_does():
+    """When stdout's reader is gone the flush fails, and the interpreter's
+    own exit reports it, as it does without `run`: exit 120."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = run_cli(["tm", "run", HALTING], stdout=write,
+                      stderr=subprocess.PIPE, capture_output=False)
+    finally:
+        os.close(write)
+    assert run.returncode == 120
+    assert b"BrokenPipeError" in run.stderr and b"Traceback" not in run.stderr
 
 
 def test_verify_has_no_with_k_option(capsys):

@@ -87,3 +87,35 @@ def test_readme_library_example_runs(monkeypatch):
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     monkeypatch.chdir(ROOT)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_only_cli_run_skips_the_interpreter_exit():
+    """`os._exit` ends a process without flushing its streams or running
+    its atexit handlers; `cli.run` does both first, so it alone may call
+    it.  Each hit is (file, outermost enclosing function, line)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        found += [(path.name, owner.get(node), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_exit"
+                  or isinstance(node, ast.alias) and node.name == "_exit"]
+    assert [hit[:2] for hit in found] == [("cli.py", "run")]
+
+
+def test_the_script_and_python_m_share_one_entry_point():
+    """The installed `varietal` script and `python -m varietal.cli` both
+    call `cli.run`, so both end the process the same way."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject,
+                        re.M | re.S).group(1)
+    assert scripts.split() == ["varietal", "=", '"varietal.cli:run"']
+    tree = ast.parse((SRC / "cli.py").read_text())
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["run()"]]

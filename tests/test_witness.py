@@ -6,12 +6,13 @@ import pytest
 
 import oracles
 from conftest import FIXTURES
+from support import omission_subpower
 from varietal import depth as depth_module, witness
 from varietal.algebra import Budget, BudgetExceeded, TranslationStep
 from varietal.cli import main
 from varietal.depth import maltsev_depth, pair_depth_graph, \
     translation_system
-from varietal.machine_algebra import BnContext, witness_tuples
+from varietal.machine_algebra import BnContext, compile_machine, witness_tuples
 from varietal.subpower import close_subpower, op_image
 from varietal.witness import (
     LEMMA_ORDER,
@@ -179,8 +180,8 @@ def test_depth_values(request, n, depth):
 
 
 def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
-    """atomic, chain, f-char and depth share one walk on B_4; omission's
-    walks on its subalgebras C are told apart by their smaller universes.
+    """atomic, chain, f-char and depth share one walk on B_4, and omission
+    walks no subalgebra C_k, since the projection kernel decides each k.
     Every walk is made by `BnContext.walk`, which looks the walk up in
     `depth` when it makes one."""
     walks = []
@@ -193,9 +194,7 @@ def test_verify_walks_from_a_0_once_per_width(tmp_path, monkeypatch):
     monkeypatch.setattr(depth_module, "pair_depth_graph", walk)
     assert main(["verify", "--tm", HALTING, "--n", "4",
                  "--out", str(tmp_path / "v.json")]) == 0
-    assert walks.count(EXPECTED_SIZE[4]) == 1
-    # one walk on C for each omitted d_k, k = 2..4
-    assert len(walks) == 1 + 3
+    assert walks == [EXPECTED_SIZE[4]]
 
 
 def test_theta_structure(ctx3):
@@ -461,6 +460,28 @@ def test_bn_context_wraps_an_omission_subalgebra(ctx3):
     assert np.array_equal(walk.pairs, by_hand.pairs)
     assert np.array_equal(walk.depth, by_hand.depth)
     assert c2.walk() is walk
+
+
+@pytest.mark.parametrize("tm", ["halting_tm", "looping_tm", "three_state_tm",
+                                "four_state_tm"])
+def test_omission_kernel_class_decides_as_the_walk_does(tm, request):
+    """b_n's class under Cg^C(a,0), read off C_k's own walk, lies in its
+    class under the projection kernel onto coordinates 2..n.  On these
+    machines the kernel class is {b_n} for every k at n <= 6, so the walk
+    class is too, and omission's verdict needs no walk."""
+    ma = compile_machine(request.getfixturevalue(tm))
+    for n in range(2, 7):
+        ctx = build_bn(ma, n)
+        bn = ctx.b[n]
+        for k in range(2, n + 1):
+            sub = BnContext(ma, omission_subpower(ctx, k), ctx.budget)
+            theta = sub.walk().congruence()
+            block = np.flatnonzero(theta.least == theta.least[sub.id_of(bn)])
+            walk_class = {sub.subpower.elements[e] for e in block.tolist()}
+            kernel_class = {t for t in sub.subpower.elements if t[1:] == bn[1:]}
+            assert walk_class <= kernel_class
+            assert walk_class == kernel_class == {bn}, (n, k)
+        assert verify_omission_all(ctx).passed
 
 
 def test_omission_fails_for_each_k_when_no_generator_is_dropped(ctx3,
